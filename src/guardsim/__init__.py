@@ -9,7 +9,7 @@ from .guardian import (Distinguisher, Guardian, InterferencePlan,
 from .knowledge import KnowledgeSet, analyze, derivable
 from .matrix import defense_matrix
 from .montecarlo import monte_carlo_fp
-from .network import Envelope, NetworkState, can_see, true_sender
+from .network import Envelope, NetworkState
 from .scenario import Outcome, ScenarioConfig, evaluate, export_builtin, run_scenario
 from .simulator import Simulator
 from .terms import (AgentId, AsymEnc, AsymKey, Atom, CommEnc, Lifetime,

@@ -22,7 +22,7 @@ from .knowledge import KnowledgeSet
 from .network import Envelope, Erase, Inject, Send, Slot
 from .terms import (AgentId, Atom, AsymEnc, AsymKey, CommEnc, Nonce,
                     Pair, Succ, SymEnc, SymKey, Term, comm_enc, comm_strip,
-                    inverse_key, pair, pair_items, succ, wire_eq,
+                    inverse_key, pair, pair_items, succ, wire_eq, wire_view,
                     KEY_TYPES, LEAF_TYPES)
 
 
@@ -257,7 +257,13 @@ def reinterpret(term: Term) -> Term:
         label = term.label
         new_label = "N" + label[1:] if label.startswith("M") else label + "*"
         return Nonce(value=term.value, label=new_label)
-    return Nonce(value=abs(hash(term)) % (1 << 62), label="junk")
+    # a digest, not hash(): the value must not depend on PYTHONHASHSEED.
+    # Imported here because loading hashlib costs about 4 MB of memory and
+    # only junk decryptions need it.
+    import hashlib
+    digest = hashlib.sha256(repr(wire_view(term)).encode()).digest()
+    return Nonce(value=int.from_bytes(digest[:8], "big") % (1 << 62),
+                 label="junk")
 
 
 class FreshMint:
@@ -278,9 +284,10 @@ class FreshMint:
 
     def mint(self, spec: TFresh, agent: str, nonce_bits: int) -> Term:
         label = self.label_for(spec.label, agent)
-        value = self.rng.getrandbits(max(nonce_bits, 8))
         if spec.kind == "nonce":
-            return Nonce(value=value, width=nonce_bits, label=label)
+            return Nonce(value=self.rng.getrandbits(nonce_bits),
+                         width=nonce_bits, label=label)
+        value = self.rng.getrandbits(max(nonce_bits, 8))
         if spec.kind == "symkey":
             return SymKey(value=value, label=label)
         if spec.kind == "asymkey":
@@ -502,16 +509,6 @@ class HonestAgent:
         if sess.current() is None:
             sess.status = "complete"
 
-    def deceived_sessions(self) -> List[Session]:
-        out = []
-        for sess in self.sessions.values():
-            if sess.status != "complete":
-                continue
-            if any(c.env.injected and c.env.true_sender != c.env.claimed_sender
-                   for c in sess.consumed):
-                out.append(sess)
-        return out
-
 
 # -- attackers --------------------------------------------------------------
 
@@ -577,7 +574,6 @@ class AttackerAgent:
         self.step_ptr = 0
         self.engaged = False
         self.withdrawn = False
-        self.hesitated_once = False
         self.ordinal = 0               # registration order, set by the runner
         self.seen: Set[int] = set()    # envelope seqs this attacker spied
 
@@ -609,7 +605,6 @@ class AttackerAgent:
             if self.awareness.get(rival) == "unsure":
                 self.awareness[rival] = "dishonest"
                 env.hesitated_by.add(self.name)
-                self.hesitated_once = True
             if self.variant == "abort-on-rival" and \
                     self.awareness.get(rival) == "dishonest":
                 self.withdrawn = True

@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 
 from .agents import HonestAgent
 from .simulator import Simulator
-from .topology import shared_channel_topology
+from .topology import ConfigError, shared_channel_topology
 from .trace import Trace
 
 DOMINANCE = "dominance"
@@ -88,7 +88,7 @@ def classify(result_sim, attackers) -> Tuple[str, str, Dict[str, str]]:
 
 def run_case(case: int, protocol: str = "iso-sc-27", seed: int = 0) -> CaseResult:
     if protocol != "iso-sc-27":
-        raise ValueError("interaction cases are builtin for iso-sc-27 only")
+        raise ConfigError("interaction cases are builtin for iso-sc-27 only")
     from .protocols.iso_sc27 import (initiator_script, make_attacker,
                                      responder_script)
     (v1, a1, s1, v2, a2, s2, tname) = CASE_TABLE[case]

@@ -2,7 +2,8 @@
 
     guardsim run --scenario FILE [--seed N] [--trace-out FILE]
     guardsim cases --protocol iso-sc-27 [--seed N]
-    guardsim montecarlo --trials N --nonce-bits K [--dataset-size D]
+    guardsim montecarlo --trials N (--nonce-bits K | --scenario FILE)
+                        [--dataset-size D] [--seed N]
     guardsim matrix [--protocols ...] [--topologies A..F] [--json-out FILE]
     guardsim export-builtin NAME [--out FILE]
 
@@ -14,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 
 from .cases import enumerate_interaction_cases
@@ -47,11 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("montecarlo",
                           help="false-positive rate estimation")
     p_mc.add_argument("--scenario", default=None,
-                      help="optional scenario file providing seed/nonce bits")
+                      help="scenario file providing seed and nonce bits; "
+                           "--seed and --nonce-bits override it")
     p_mc.add_argument("--trials", type=int, required=True)
-    p_mc.add_argument("--nonce-bits", type=int, required=True)
+    p_mc.add_argument("--nonce-bits", type=int, default=None)
     p_mc.add_argument("--dataset-size", type=int, default=4)
-    p_mc.add_argument("--seed", type=int, default=0)
+    p_mc.add_argument("--seed", type=int, default=None)
 
     p_matrix = sub.add_parser("matrix", help="the defense matrix report")
     p_matrix.add_argument("--protocols", nargs="*", default=None)
@@ -101,10 +101,12 @@ def _cmd_montecarlo(args) -> int:
     bits = args.nonce_bits
     if args.scenario:
         config = ScenarioConfig.load(args.scenario)
-        seed = config.seed if args.seed == 0 else seed
+        seed = config.seed if seed is None else seed
         bits = config.nonce_bits if bits is None else bits
+    if bits is None:
+        raise ConfigError("montecarlo needs --nonce-bits or --scenario")
     est = monte_carlo_fp(nonce_bits=bits, dataset_size=args.dataset_size,
-                         trials=args.trials, seed=seed)
+                         trials=args.trials, seed=seed or 0)
     print(json.dumps({
         "trials": est.trials, "hits": est.hits,
         "empirical_rate": est.empirical,
@@ -137,8 +139,6 @@ def _cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("GUARDSIM_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
@@ -151,7 +151,7 @@ def main(argv=None) -> int:
             return _cmd_matrix(args)
         if args.command == "export-builtin":
             return _cmd_export(args)
-    except (ConfigError, KeyError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except DeadlockError as exc:

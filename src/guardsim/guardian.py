@@ -5,20 +5,28 @@ The guardian spies like an attacker but defends: the Identification
 module labels protocol messages in its dataset, the Control module runs
 a criticality distinguisher and, on critical messages, an attack
 invariant over the previously labelled dataset (optionally restricted to
-a sliding window of recent revisions).  A hit triggers the interference
-plan: modify the message in transit, stop it, send fakes, and raise the
-defended agent's abort flag over the resilient channel.
+a sliding window of recent revisions).  A hit expands the interference
+plan into a queue of concrete actions: erase the message in transit
+(capture or stop), inject fakes, and raise the defended agent's abort
+flag over the resilient channel.
+
+The Guardian owns that queue.  Each round the simulator asks it for the
+next action (`propose`), keeps the envelopes it means to capture off the
+delivery list (`captures`) and reports the action it applied
+(`committed`); it never looks inside the queue.  `module_log` is the one
+record of the module verdicts; the two FSM paths are read off it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Collection, Dict, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from .agents import (AttackFunction, EraseStep, InjectStep, ObserveStep,
-                     match, TRef)
-from .network import Envelope, Slot
+                     instantiate, match, TRef)
+from .network import Envelope, Erase, Inject, ResilientSignal, Slot
 from .terms import (Atom, Nonce, Term, render, wire_eq, wire_view,
                     subterms, SymEnc, AsymEnc, CommEnc)
 from .topology import Topology
@@ -81,6 +89,7 @@ class GuardianStore:
         return entry
 
     def snapshot(self) -> List[StoreEntry]:
+        """A copy of D_G that later adds leave unchanged."""
         return [StoreEntry(e.term, set(e.labels), e.first_rev, e.last_rev,
                            set(e.sources))
                 for e in self.entries.values()]
@@ -102,10 +111,10 @@ class InvariantSpec:
     name: str
     params: Dict[str, object] = field(default_factory=dict)
 
-    def evaluate(self, m: Term, snapshot: List[StoreEntry],
+    def evaluate(self, m: Term, entries: Collection[StoreEntry],
                  delta_c: Distinguisher, window: Optional[int],
                  current_rev: int) -> int:
-        visible = [e for e in snapshot if "P" in e.labels]
+        visible = [e for e in entries if "P" in e.labels]
         if window is not None:
             visible = [e for e in visible if e.last_rev > current_rev - window]
         if self.name == "replay-equality":
@@ -223,6 +232,46 @@ class ModuleLogRow:
     dataset: Tuple[Term, ...]
 
 
+class _GuardianMint:
+    """Fresh values inside guardian fake templates come from FakeSpec
+    bindings, never TFresh; this mint exists only to fail loudly."""
+
+    def mint(self, spec, agent, nonce_bits):
+        raise ValueError("guardian templates use FakeSpec bindings, not TFresh")
+
+
+@dataclass
+class InjectFake:
+    """A queued fake or forward.  Its body, with any fake values in it,
+    is rendered on first proposal and kept, so a proposal that loses
+    arbitration is offered again unchanged."""
+    mask: str
+    receiver: str
+    slot: Slot
+    template: Optional[object]
+    fakes: Tuple[FakeSpec, ...]
+    bindings: Dict[str, Term]
+    action: Optional[Inject] = None
+
+    def inject(self, guardian: "Guardian", nonce_bits: int) -> Inject:
+        if self.action is None:
+            bindings = dict(self.bindings)
+            for spec in self.fakes:
+                if spec.binding not in bindings:
+                    bindings[spec.binding] = guardian.mint_fake(spec)
+            body = (bindings[self.fakes[0].binding] if self.template is None
+                    else instantiate(self.template, bindings, _GuardianMint(),
+                                     guardian.name, nonce_bits))
+            self.action = Inject(actor=guardian.name, claimed=self.mask,
+                                 body=body, receiver=self.receiver,
+                                 slot=self.slot, rank=0)
+        return self.action
+
+
+PlanItem = Union[Erase, InjectFake, ResilientSignal]
+GuardianAction = Union[Erase, Inject, ResilientSignal]
+
+
 class Guardian:
     """Runtime guardian bound to one simulation."""
 
@@ -246,13 +295,33 @@ class Guardian:
         self.invariant_operative = True
         self.store = GuardianStore()
         self.module_log: List[ModuleLogRow] = []
-        self.ident_fsm_log: List[str] = []
-        self.control_fsm_log: List[str] = []
-        self.pending: List[object] = []      # queued concrete actions
-        self.deferred_abort: Optional[Tuple[RaiseAbortFlag, Dict]] = None
+        self.pending: List[PlanItem] = []    # the interference plan queue
+        # fires only at quiescence, once the queue is empty
+        self.deferred_abort: Optional[ResilientSignal] = None
         self.interference_count = 0
         self.fake_value_override: Optional[int] = None
         self.plan_envelopes: List[int] = []  # seqs of own injected fakes
+
+    # -- FSM paths, read off the module log --
+
+    @property
+    def ident_fsm_log(self) -> List[str]:
+        """Identification FSM: delta, lambda (labelled) or phi, delta per
+        spied envelope."""
+        return [state for row in self.module_log if row.ident is not None
+                for state in ("delta", "lambda" if row.ident else "phi",
+                              "delta")]
+
+    @property
+    def control_fsm_log(self) -> List[str]:
+        """Control FSM: delta, iota then rho (invariant hit) or phi, delta
+        per checked envelope; delta, phi, delta when it is not critical."""
+        out: List[str] = []
+        for row in self.module_log:
+            if row.crit is not None:
+                out += (("delta", "iota", "rho" if row.inv else "phi", "delta")
+                        if row.crit else ("delta", "phi", "delta"))
+        return out
 
     # -- spy path --
 
@@ -267,45 +336,30 @@ class Guardian:
 
     def process(self, env: Envelope) -> bool:
         """Run the modules on a spied envelope; True iff interference was
-        queued for it."""
+        queued for it.  The invariant judges the dataset as it stood
+        before this envelope was stored."""
         filters = self.matching_filters(env)
         if not filters:
             return False
         m = env.body
-        snapshot = self.store.snapshot()
-        current_rev = self.store.revision + 1
         ident_val = self.ident(m)
-        self.ident_fsm_log.extend(
-            ["delta", "lambda" if ident_val else "phi", "delta"])
-        labels = {"P"} if ident_val else set()
-        direction = filters[0].direction
-        self.store.add(m, labels, source=(direction, filters[0].target))
-
-        crit_val = None
-        inv_val = None
-        fired = False
-        if any(f.control for f in filters) and ident_val:
+        crit_val = inv_val = None
+        if ident_val and any(f.control for f in filters):
             crit_val = self.crit(m)
-            self.control_fsm_log.append("delta")
             if crit_val:
-                self.control_fsm_log.append("iota")
-                self.store.entries[wire_view(m)].labels.add("critical")
                 inv_val = self.invariant.evaluate(
-                    m, snapshot, self.crit, self.window,
-                    current_rev) if self.invariant_operative else 0
-                if inv_val:
-                    self.control_fsm_log.append("rho")
-                    self._queue_plan(env)
-                    fired = True
-                else:
-                    self.control_fsm_log.append("phi")
-            else:
-                self.control_fsm_log.append("phi")
-            self.control_fsm_log.append("delta")
+                    m, self.store.entries.values(), self.crit, self.window,
+                    self.store.revision + 1) if self.invariant_operative else 0
+        entry = self.store.add(m, {"P"} if ident_val else set(),
+                               source=(filters[0].direction, filters[0].target))
+        if crit_val:
+            entry.labels.add("critical")
+        if inv_val:
+            self._queue_plan(env)
         self.module_log.append(ModuleLogRow(
             seq=env.seq, ident=ident_val, crit=crit_val, inv=inv_val,
             dataset=tuple(self.store.labeled_terms("P"))))
-        return fired
+        return bool(inv_val)
 
     def record_own(self, term: Term, seq: int) -> None:
         """Own fakes enter D_G labelled, with no module run."""
@@ -313,6 +367,43 @@ class Guardian:
         self.module_log.append(ModuleLogRow(
             seq=seq, ident=None, crit=None, inv=None,
             dataset=tuple(self.store.labeled_terms("P"))))
+
+    # -- the plan queue --
+
+    def propose(self, net_pending: Dict[int, Envelope],
+                nonce_bits: int) -> Optional[GuardianAction]:
+        """The plan's next action, or None.  Captures of envelopes that
+        already left the wire are dropped; a fake or an abort waits until
+        the guardian's own fakes have resolved."""
+        while (self.pending and isinstance(self.pending[0], Erase)
+               and self.pending[0].target_seq not in net_pending):
+            self.pending.pop(0)
+        if not self.pending:
+            return None
+        head = self.pending[0]
+        if isinstance(head, Erase):
+            return head
+        if any(seq in net_pending for seq in self.plan_envelopes):
+            return None
+        return (head.inject(self, nonce_bits) if isinstance(head, InjectFake)
+                else head)
+
+    def captures(self) -> Set[int]:
+        """Seqs of the envelopes the queue means to erase."""
+        return {item.target_seq for item in self.pending
+                if isinstance(item, Erase)}
+
+    def committed(self, action: GuardianAction,
+                  seq: Optional[int] = None) -> None:
+        """The simulator applied `action`, which this guardian proposed;
+        `seq` numbers the envelope an inject put on the wire."""
+        head = self.pending[0] if self.pending else None
+        if head is action or (isinstance(head, InjectFake)
+                              and head.action is action):
+            self.pending.pop(0)
+        if isinstance(action, Inject):
+            self.record_own(action.body, seq)
+            self.plan_envelopes.append(seq)
 
     # -- interference --
 
@@ -331,8 +422,8 @@ class Guardian:
                 return term
 
     def _queue_plan(self, env: Envelope) -> None:
-        """Expand the interference plan into atomic queue items bound to
-        the captured envelope."""
+        """Expand the interference plan into queue items bound to the
+        captured envelope."""
         self.interference_count += 1
         bindings: Dict[str, Term] = {"captured": env.body}
         if self.plan.trigger_pattern is not None:
@@ -341,40 +432,39 @@ class Guardian:
                 raise ValueError(
                     f"interference plan pattern does not match {render(env.body)}")
             bindings.update(got)
+
+        def fake(mask, receiver, label, template, fakes) -> InjectFake:
+            return InjectFake(mask=mask, receiver=receiver,
+                              slot=parse_label_slot(label, env.slot),
+                              template=template, fakes=fakes,
+                              bindings=bindings)
+
         for resp in self.plan.responses:
-            if isinstance(resp, Modify):
-                mask = env.claimed_sender if resp.mask == "claimed" else resp.mask
-                sub_slot = Slot(env.slot.session, env.slot.msg,
-                                env.slot.primes, env.slot.sub + 1)
-                self.pending.append(("capture", {"env": env}))
-                self.pending.append(("inject", {
-                    "mask": mask, "receiver": env.receiver, "slot": sub_slot,
-                    "template": resp.template, "fakes": (resp.fake,),
-                    "bindings": bindings}))
-            elif isinstance(resp, StopMessage):
-                self.pending.append(("capture", {"env": env, "stop": True}))
-            elif isinstance(resp, Intercept):
-                self.pending.append(("capture", {"env": env}))
+            if isinstance(resp, (Modify, StopMessage, Intercept)):
+                self.pending.append(Erase(
+                    actor=self.name, target_seq=env.seq, rank=0,
+                    stop_note=isinstance(resp, StopMessage)))
+                if isinstance(resp, Modify):
+                    mask = (env.claimed_sender if resp.mask == "claimed"
+                            else resp.mask)
+                    self.pending.append(fake(mask, env.receiver, None,
+                                             resp.template, (resp.fake,)))
             elif isinstance(resp, SendFake):
                 receiver = (env.receiver if resp.receiver == "trigger_receiver"
                             else resp.receiver)
-                self.pending.append(("inject", {
-                    "mask": resp.mask, "receiver": receiver,
-                    "slot": parse_label_slot(resp.label, env.slot),
-                    "template": resp.template,
-                    "fakes": (resp.fake,) if resp.fake else (),
-                    "bindings": bindings}))
+                self.pending.append(fake(resp.mask, receiver, resp.label,
+                                         resp.template,
+                                         (resp.fake,) if resp.fake else ()))
             elif isinstance(resp, ForwardCaptured):
-                self.pending.append(("inject", {
-                    "mask": resp.mask, "receiver": resp.receiver,
-                    "slot": parse_label_slot(resp.label, env.slot),
-                    "template": TRef("captured"), "fakes": (),
-                    "bindings": bindings}))
+                self.pending.append(fake(resp.mask, resp.receiver, resp.label,
+                                         TRef("captured"), ()))
             elif isinstance(resp, RaiseAbortFlag):
+                signal = ResilientSignal(guardian=self.name, target=resp.target,
+                                         label=resp.label, style=resp.style)
                 if resp.mode == "deferred":
-                    self.deferred_abort = (resp, {"env": env})
+                    self.deferred_abort = signal
                 else:
-                    self.pending.append(("abort", resp))
+                    self.pending.append(signal)
             else:
                 raise ValueError(f"unknown interference response {resp!r}")
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .terms import Nonce
+from .topology import ConfigError
 
 
 @dataclass
@@ -53,7 +54,7 @@ def monte_carlo_fp(nonce_bits: int, dataset_size: int, trials: int,
     to exercise the genuine spy path), then `trials` restart nonces are
     drawn and classified by the real distinguisher + invariant."""
     if trials <= 0:
-        raise ValueError("trials must be positive")
+        raise ConfigError("trials must be positive")
     from .protocols.iso_sc27 import make_guardian, wire
 
     rng = random.Random(seed)

@@ -52,12 +52,6 @@ class Envelope:
     erased_by: Optional[str] = None
 
 
-def true_sender(claimed: str, actor: str, injected: bool) -> str:
-    """Resolve the true sender id: a masqueraded triplet resolves to the
-    agent behind the mask, otherwise the claimed id stands."""
-    return actor if injected else claimed
-
-
 # -- actions ---------------------------------------------------------------
 
 @dataclass
@@ -85,7 +79,6 @@ class Erase:
     target_seq: int
     rank: int = 1
     own_step: bool = False   # erase comes from the actor's attack function
-    capture: bool = False    # guardian interception (renders -> G(recv))
     stop_note: bool = False  # additionally emit a "stops message" line
 
 
@@ -174,28 +167,21 @@ class NetworkState:
         return live
 
 
-def can_see(topology: Topology, env: Envelope, observer: str,
-            index: int = 0) -> bool:
-    """The topology-induced visibility predicate for dishonest observers.
+def watchers(topology: Topology, env: Envelope) -> List[str]:
+    """The topology-induced visibility function: the interceptors that
+    see an envelope in transit, in the order it passes them.
 
-    A resilient-link envelope is visible to no interceptor.  For wire
-    traffic, visibility follows the station layout: everything on the
-    stretch the message actually travels."""
-    if observer not in topology.interceptors:
-        raise ConfigError(f"unknown dishonest observer {observer!r}")
+    Wire traffic is seen on the stretch it actually travels: the whole
+    channel for a send; for an injection, the stretch from the injector's
+    station to the receiver, co-located rivals included and the injector
+    left out.  A resilient-link envelope, or one the topology gives no
+    path, is seen by nobody."""
     if env.resilient:
-        return False
-    if env.injected:
-        if env.true_sender == observer:
-            return True
-        try:
-            watchers = topology.observers_for_injection(env.true_sender,
-                                                        env.receiver)
-        except ConfigError:
-            return False
-        return observer in watchers
+        return []
     try:
-        watchers = topology.observers_for_send(env.true_sender, env.receiver)
+        if env.injected:
+            return topology.observers_for_injection(env.true_sender,
+                                                    env.receiver)
+        return topology.observers_for_send(env.true_sender, env.receiver)
     except ConfigError:
-        return False
-    return observer in watchers
+        return []

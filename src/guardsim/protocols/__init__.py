@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from ..topology import ConfigError
 from .base import CaseStudy, Wiring
 
 _REGISTRY = {}
@@ -18,8 +19,8 @@ def builtin(name: str) -> CaseStudy:
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise KeyError(f"unknown case study {name!r}; known: "
-                       f"{sorted(_REGISTRY)}") from None
+        raise ConfigError(f"unknown case study {name!r}; known: "
+                          f"{sorted(_REGISTRY)}") from None
 
 
 def builtin_names():

@@ -158,7 +158,11 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path: str) -> "ScenarioConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path} is not JSON: {exc}") from None
+        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return {"protocol": self.protocol, "topology": self.topology,
@@ -177,8 +181,13 @@ class RunResult:
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
     from .protocols import builtin
+    if config.nonce_bits < 0:
+        raise ConfigError("nonce_bits must not be negative")
     if isinstance(config.protocol, str):
         case = builtin(config.protocol)
+        if config.attack and config.attack not in case.attack_names:
+            raise ConfigError(f"unknown attack {config.attack!r} for "
+                              f"{case.name}; known: {list(case.attack_names)}")
         wiring = case.wire(kind=config.topology, guardian=config.guardian,
                            attack=config.attack, seed=config.seed,
                            nonce_bits=config.nonce_bits)
@@ -186,7 +195,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         extra = case.success_extra
         attack_present = bool(config.attack)
     elif isinstance(config.protocol, dict):
-        wiring = _wire_inline(config)
+        try:
+            wiring = _wire_inline(config)
+        except KeyError as exc:
+            raise ConfigError(f"inline protocol lacks field {exc}") from None
         victim = wiring.victim
         extra = None
         attack_present = False

@@ -8,6 +8,11 @@ attackers first, then the guardian, then honest agents, then deliveries
 credit, a vigilant attacker can leave an erase to an earlier-placed
 rival, and an envelope is delivered once nobody dishonest wants it.
 
+The guardian's interference plan stays inside the Guardian: the loop
+asks it for its next action (`Guardian.propose`), holds back the
+envelopes it means to capture (`Guardian.captures`) and tells it which
+action was applied (`Guardian.committed`).
+
 The loop is strictly single-threaded and owns its agents; identical
 (scenario, seed) pairs produce bit-identical traces.  Run independent
 scenarios on separate Simulator instances for parallelism.
@@ -20,11 +25,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .agents import (AttackerAgent, EraseStep, FreshMint, HonestAgent,
-                     RoleScript, instantiate, match)
+                     RoleScript, match)
 from .guardian import Guardian
 from .network import (DeadlockError, Deliver, Envelope, Erase, Inject,
-                      NetworkState, ResilientSignal, Send, Slot)
-from .terms import Term, wire_view
+                      NetworkState, ResilientSignal, Send, Slot, watchers)
+from .terms import wire_view
 from .topology import ConfigError, Topology
 from .trace import Trace
 
@@ -82,23 +87,13 @@ class Simulator:
 
     # -- notify / spy phase --
 
-    def _watchers(self, env: Envelope) -> List[str]:
-        if env.injected:
-            return self.topology.observers_for_injection(env.true_sender,
-                                                         env.receiver)
-        return self.topology.observers_for_send(env.true_sender, env.receiver)
-
     def _notify(self) -> None:
         for seq in sorted(self.net.pending):
             env = self.net.pending[seq]
             if env.notified:
                 continue
             env.notified = True
-            try:
-                watchers = self._watchers(env)
-            except ConfigError:
-                watchers = []
-            for who in watchers:
+            for who in watchers(self.topology, env):
                 att = self._attacker(who)
                 if att is not None:
                     # filters go by perceived identities: masquerades fool
@@ -166,77 +161,24 @@ class Simulator:
             if prop is not None:
                 honest_props.append((name, prop))
 
+        g = self.guardian
         guardian_prop = None
-        if self.guardian is not None:
-            item = self._guardian_peek()
-            if item is not None:
-                guardian_prop = item
-
         erase_targets = {p.target_seq for _, _, _, p in attacker_props
                          if isinstance(p, Erase)}
-        if isinstance(guardian_prop, Erase):
-            erase_targets.add(guardian_prop.target_seq)
-        if self.guardian is not None:
-            for item in self.guardian.pending:
-                if item[0] == "capture":
-                    erase_targets.add(item[1]["env"].seq)
+        if g is not None:
+            # propose first: it drops the captures that went stale
+            guardian_prop = g.propose(self.net.pending, self.nonce_bits)
+            erase_targets |= g.captures()
         deliveries = [seq for seq in sorted(self.net.pending)
                       if self.net.pending[seq].notified
                       and seq not in erase_targets]
 
         # a deferred abort fires only at quiescence
-        if (guardian_prop is None and self.guardian is not None
-                and not self.guardian.pending
-                and self.guardian.deferred_abort is not None
+        if (guardian_prop is None and g is not None and not g.pending
+                and g.deferred_abort is not None
                 and not attacker_props and not honest_props and not deliveries):
-            resp, ctx = self.guardian.deferred_abort
-            guardian_prop = ResilientSignal(
-                guardian=self.guardian.name, target=resp.target,
-                label=resp.label, style=resp.style)
-            self.guardian.deferred_abort = None
+            guardian_prop, g.deferred_abort = g.deferred_abort, None
         return attacker_props, guardian_prop, honest_props, deliveries
-
-    # -- guardian plan queue --
-
-    def _guardian_peek(self):
-        g = self.guardian
-        while g.pending:
-            kind = g.pending[0][0]
-            if kind == "capture":
-                ctx = g.pending[0][1]
-                if ctx["env"].seq not in self.net.pending:
-                    g.pending.pop(0)
-                    continue
-                return Erase(actor=g.name, target_seq=ctx["env"].seq, rank=0,
-                             capture=True, stop_note=ctx.get("stop", False))
-            if kind == "inject":
-                if any(seq in self.net.pending for seq in g.plan_envelopes):
-                    return None  # pace the plan: let the last fake resolve
-                spec = g.pending[0][1]
-                if "term" not in spec:
-                    spec["term"] = self._render_guardian_body(spec)
-                return Inject(actor=g.name, claimed=spec["mask"],
-                              body=spec["term"], receiver=spec["receiver"],
-                              slot=spec["slot"], rank=0)
-            if kind == "abort":
-                resp = g.pending[0][1]
-                if any(seq in self.net.pending for seq in g.plan_envelopes):
-                    return None  # wait for own fakes to resolve
-                return ResilientSignal(guardian=g.name, target=resp.target,
-                                       label=resp.label, style=resp.style)
-            raise ValueError(f"unknown plan item {kind!r}")
-        return None
-
-    def _render_guardian_body(self, spec) -> Term:
-        g = self.guardian
-        bindings = dict(spec["bindings"])
-        for fake_spec in spec.get("fakes", ()):
-            if fake_spec.binding not in bindings:
-                bindings[fake_spec.binding] = g.mint_fake(fake_spec)
-        if spec.get("template") is None:
-            return bindings[spec["fakes"][0].binding]
-        return instantiate(spec["template"], bindings, _GuardianMint(g),
-                           g.name, self.nonce_bits)
 
     # -- select & apply --
 
@@ -250,7 +192,8 @@ class Simulator:
                                prop.slot.session, prop.slot.msg))
         self.net.enter(env, "send")
 
-    def _apply_inject(self, att: Optional[AttackerAgent], prop: Inject) -> None:
+    def _apply_inject(self, att: Optional[AttackerAgent],
+                      prop: Inject) -> Envelope:
         env = Envelope(seq=self.net.new_seq(), claimed_sender=prop.claimed,
                        body=prop.body, receiver=prop.receiver,
                        true_sender=prop.actor, slot=prop.slot, injected=True)
@@ -258,10 +201,7 @@ class Simulator:
         if att is not None:
             att.consume_step()
             att.engaged = True
-        elif self.guardian is not None and prop.actor == self.guardian.name:
-            self.guardian.pending.pop(0)
-            self.guardian.record_own(prop.body, env.seq)
-            self.guardian.plan_envelopes.append(env.seq)
+        return env
 
     def _consume_erase_step(self, att: AttackerAgent, env: Envelope) -> None:
         step = att.current_step()
@@ -300,8 +240,6 @@ class Simulator:
             if isinstance(other.current_step(), EraseStep):
                 self._consume_erase_step(other, env)
                 env.capture_credits.add(name)
-        if prop.capture and self.guardian is not None:
-            self.guardian.pending.pop(0)
         self.net.remove(prop.target_seq, "erase", rollbacks=tuple(rollbacks))
         step = self.trace.add_message(env, delivered=False)
         if prop.stop_note:
@@ -336,8 +274,6 @@ class Simulator:
         if (g.name, prop.target) not in self.topology.resilient_links:
             raise ConfigError(
                 f"no resilient link {g.name}->{prop.target}; the defense requires one")
-        if g.pending and g.pending[0][0] == "abort":
-            g.pending.pop(0)
         self.honest[prop.target].set_flag(prop.flag)
         self.net.record("signal")
         if prop.style == "raise":
@@ -366,12 +302,14 @@ class Simulator:
                 self._apply_inject(att, prop)
             return prop
         if guardian_prop is not None:
+            seq = None
             if isinstance(guardian_prop, Erase):
                 self._apply_erase(None, guardian_prop, [])
             elif isinstance(guardian_prop, Inject):
-                self._apply_inject(None, guardian_prop)
+                seq = self._apply_inject(None, guardian_prop).seq
             else:
                 self._apply_signal(guardian_prop)
+            self.guardian.committed(guardian_prop, seq)
             return guardian_prop
         if honest_props:
             prop = honest_props[0][1]
@@ -399,13 +337,3 @@ class Simulator:
                          aborted_by_guardian=self.aborted,
                          honest_sends=self.honest_sends)
 
-
-class _GuardianMint:
-    """Fresh values inside guardian fake templates come from FakeSpec
-    bindings, never TFresh; this mint exists only to fail loudly."""
-
-    def __init__(self, guardian: Guardian):
-        self.guardian = guardian
-
-    def mint(self, spec, agent, nonce_bits):
-        raise ValueError("guardian templates use FakeSpec bindings, not TFresh")

@@ -209,18 +209,6 @@ def subterms(t: Term) -> Iterator[Term]:
         yield from subterms(t.base)
 
 
-def depth(t: Term) -> int:
-    if isinstance(t, Pair):
-        return 1 + max(depth(t.left), depth(t.right))
-    if isinstance(t, (SymEnc, AsymEnc)):
-        return 1 + max(depth(t.payload), depth(t.key))
-    if isinstance(t, CommEnc):
-        return 1 + max([depth(t.payload)] + [depth(k) for k in t.keys])
-    if isinstance(t, Succ):
-        return 1 + depth(t.base)
-    return 0
-
-
 def wire_view(t: Term):
     """Canonical wire encoding of a term.
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 
-class ConfigError(Exception):
-    """Invalid scenario / topology configuration."""
+class ConfigError(ValueError):
+    """Invalid scenario / topology configuration: the input is at fault,
+    not the program."""
 
 
 def _edge(a: str, b: str) -> Tuple[str, str]:

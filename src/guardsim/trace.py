@@ -9,7 +9,6 @@ taken by E masquerading as B, and merged credits like ``E_{1,2}(B)``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -122,20 +121,3 @@ class Trace:
 
     def render(self) -> str:
         return "\n".join(self.lines())
-
-    def to_json_lines(self) -> List[str]:
-        out = []
-        for s in self.steps:
-            rec = {
-                "label": s.label(self.multi_session),
-                "kind": s.kind,
-                "sender": s.sender_str() if s.kind == "message" else None,
-                "true_sender": s.true_sender or None,
-                "receiver": s.receiver_str() if s.kind == "message" else None,
-                "body": render(s.body) if s.body is not None else None,
-                "text": s.text or None,
-                "seq": s.seq,
-                "observers": list(s.observers),
-            }
-            out.append(json.dumps(rec, sort_keys=True))
-        return out

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+import guardsim.cli
 from guardsim.cli import main
 
 
@@ -30,6 +33,29 @@ def test_bad_scenario_config_exit(tmp_path):
     assert main(["run", "--scenario", str(path)]) == 64
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps({"protocol": "iso-sc-27", "attack": "no-such-attack"}),
+    json.dumps({"protocol": "iso-sc-27", "nonce_bits": -1}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [{"send": {
+        "ref": "x"}}]}}}}),
+    "{not json",
+])
+def test_bad_scenario_input_exit(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["run", "--scenario", str(path)]) == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["cases", "--protocol", "eke"],
+    ["montecarlo", "--trials", "0", "--nonce-bits", "8"],
+    ["montecarlo", "--trials", "10"],
+    ["export-builtin", "no-such-protocol"],
+])
+def test_bad_arguments_exit(argv):
+    assert main(argv) == 64
+
+
 def test_cases_command(capsys):
     assert main(["cases", "--protocol", "iso-sc-27"]) == 0
     out = capsys.readouterr().out
@@ -53,3 +79,37 @@ def test_matrix_command(tmp_path, capsys):
     row = payload["rows"][0]
     assert row["viable_topologies"] == ["A"]
     assert row["cells"]["B"] == "None"
+
+
+def test_montecarlo_takes_nonce_bits_from_scenario(tmp_path, capsys):
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps({"protocol": "iso-sc-27", "nonce_bits": 8}))
+    assert main(["montecarlo", "--trials", "200", "--scenario",
+                 str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["analytic_rate"] == 4 / 256
+
+
+def test_montecarlo_seed_zero_overrides_scenario(tmp_path, capsys):
+    path = tmp_path / "fp.json"
+    path.write_text(json.dumps({"protocol": "iso-sc-27", "seed": 5}))
+
+    def hits(*argv):
+        assert main(["montecarlo", "--trials", "2000", "--nonce-bits", "8",
+                     *argv]) == 0
+        return json.loads(capsys.readouterr().out)["hits"]
+
+    scenario = ("--scenario", str(path))
+    assert hits(*scenario) == hits("--seed", "5") != hits("--seed", "0")
+    assert hits(*scenario, "--seed", "0") == hits("--seed", "0")
+
+
+def test_internal_error_is_not_a_config_error(tmp_path, monkeypatch):
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps({"protocol": "iso-sc-27"}))
+
+    def broken(config):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(guardsim.cli, "run_scenario", broken)
+    with pytest.raises(KeyError):
+        main(["run", "--scenario", str(path)])

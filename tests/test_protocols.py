@@ -6,6 +6,7 @@ import pytest
 
 from guardsim.protocols import builtin, builtin_names
 from guardsim.scenario import evaluate
+from guardsim.topology import ConfigError
 
 
 def run(name, seed=5, **kw):
@@ -29,7 +30,7 @@ def test_builtin_catalog():
     assert builtin("iso-sc-27").defense_class == "Total"
     assert builtin("bme-fixed").defended_agent == "B"
     assert set(builtin("otway-rees").viable_topologies) == {"C", "E"}
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError):
         builtin("nope")
 
 

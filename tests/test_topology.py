@@ -1,10 +1,8 @@
 """Base topologies and the visibility function."""
 
-import pytest
-
-from guardsim.network import Envelope, Slot, can_see
+from guardsim.network import Envelope, Slot, watchers
 from guardsim.terms import Nonce
-from guardsim.topology import ConfigError, base_topology, shared_channel_topology
+from guardsim.topology import base_topology, shared_channel_topology
 
 N = Nonce(value=1, label="N_A")
 
@@ -17,28 +15,22 @@ def env(claimed, receiver, true=None, injected=False, resilient=False):
 
 def test_kind_a_guardian_sees_all_of_a_traffic():
     topo = base_topology("A", honest=("A", "B"))
-    assert can_see(topo, env("A", "B"), "G")
-    assert can_see(topo, env("A", "B"), "E")
+    assert "G" in watchers(topo, env("A", "B"))
+    assert "E" in watchers(topo, env("A", "B"))
     # injected toward A from E crosses G
-    assert can_see(topo, env("B", "A", true="E", injected=True), "G")
+    assert "G" in watchers(topo, env("B", "A", true="E", injected=True))
 
 
 def test_kind_b_attacker_excludes_guardian():
     topo = base_topology("B", honest=("A", "B"))
     # E adjacent to A: his forgeries toward A never reach G's tap
-    assert not can_see(topo, env("B", "A", true="E", injected=True), "G")
-    assert can_see(topo, env("A", "B"), "G")  # honest traffic still crosses
+    assert "G" not in watchers(topo, env("B", "A", true="E", injected=True))
+    assert "G" in watchers(topo, env("A", "B"))  # honest traffic still crosses
 
 
 def test_resilient_link_invisible():
     topo = base_topology("A", honest=("A", "B"))
-    assert not can_see(topo, env("G", "A", resilient=True), "E")
-
-
-def test_unknown_observer_rejected():
-    topo = base_topology("A", honest=("A", "B"))
-    with pytest.raises(ConfigError):
-        can_see(topo, env("A", "B"), "Z")
+    assert "E" not in watchers(topo, env("G", "A", resilient=True))
 
 
 def test_three_agent_kinds_station_layout():
@@ -64,12 +56,12 @@ def test_three_agent_kinds_station_layout():
 def test_co_located_rivals_see_each_others_injections():
     topo = shared_channel_topology(("A", "B"), ("E_1", "E_2"))
     forged = env("B", "A", true="E_1", injected=True)
-    assert can_see(topo, forged, "E_2")
+    assert "E_2" in watchers(topo, forged)
     forged2 = env("B", "A", true="E_2", injected=True)
-    assert can_see(topo, forged2, "E_1")
+    assert "E_1" in watchers(topo, forged2)
 
 
 def test_ordered_stations_shade_far_side():
     # kind A: E injecting toward B never crosses G (G sits on A's side)
     topo = base_topology("A", honest=("A", "B"))
-    assert not can_see(topo, env("A", "B", true="E", injected=True), "G")
+    assert "G" not in watchers(topo, env("A", "B", true="E", injected=True))
