@@ -141,14 +141,12 @@ def enumerate_attacks(case, kind: str, max_choices: int = 8,
     complete run judged for an undetected deception."""
     report = EnumerationReport(runs=0, false_negatives=0)
     stack: List[Tuple[Tuple, ...]] = [()]
-    explored: Set[Tuple] = set()
     while stack:
+        # each prefix is pushed once, by its parent, and a frontier holds
+        # distinct options, so no prefix runs twice
         prefix = stack.pop()
-        if prefix in explored:
-            continue
-        explored.add(prefix)
-        out = _run_with_choices(case, kind, prefix, seed, max_visible)
-        result, scripted, victim = out
+        result, scripted, victim = _run_with_choices(case, kind, prefix,
+                                                     seed, max_visible)
         if result is None:
             continue
         report.runs += 1

@@ -35,22 +35,13 @@ from .topology import Topology
 @dataclass
 class Distinguisher:
     """Deterministic structural classifier: 1 iff any rule pattern
-    matches.  An optional seeded error model flips results for FP/FN
-    sensitivity experiments."""
+    matches."""
     name: str
     rules: Sequence[object]
-    fp_rate: float = 0.0
-    fn_rate: float = 0.0
-    rng: Optional[random.Random] = None
 
     def __call__(self, m: Term) -> int:
-        hit = any(match(rule, m, {}) is not None for rule in self.rules)
-        if self.rng is not None:
-            if hit and self.fn_rate and self.rng.random() < self.fn_rate:
-                return 0
-            if not hit and self.fp_rate and self.rng.random() < self.fp_rate:
-                return 1
-        return 1 if hit else 0
+        return 1 if any(match(rule, m, {}) is not None
+                        for rule in self.rules) else 0
 
 
 @dataclass
@@ -60,6 +51,7 @@ class StoreEntry:
     first_rev: int
     last_rev: int
     sources: Set[Tuple[str, str]] = field(default_factory=set)
+    p_rev: Optional[int] = None   # revision that first labelled it P
 
 
 class GuardianStore:
@@ -84,6 +76,8 @@ class GuardianStore:
         else:
             entry.labels |= labels
             entry.last_rev = self.revision
+        if "P" in labels and entry.p_rev is None:
+            entry.p_rev = self.revision
         if source:
             entry.sources.add(source)
         return entry
@@ -91,11 +85,17 @@ class GuardianStore:
     def snapshot(self) -> List[StoreEntry]:
         """A copy of D_G that later adds leave unchanged."""
         return [StoreEntry(e.term, set(e.labels), e.first_rev, e.last_rev,
-                           set(e.sources))
+                           set(e.sources), e.p_rev)
                 for e in self.entries.values()]
 
     def labeled_terms(self, label: str = "P") -> List[Term]:
         return [e.term for e in self.entries.values() if label in e.labels]
+
+    def p_terms_at(self, revision: int) -> Tuple[Term, ...]:
+        """The P-labelled terms as D_G held them at `revision`, in
+        insertion order."""
+        return tuple(e.term for e in self.entries.values()
+                     if e.p_rev is not None and e.p_rev <= revision)
 
 
 def _enc_components(term: Term) -> List[Term]:
@@ -223,13 +223,20 @@ class GuardianFilter:
     control: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModuleLogRow:
+    """One module verdict, with the store revision it left D_G at."""
     seq: Optional[int]
     ident: Optional[int]
     crit: Optional[int]
     inv: Optional[int]
-    dataset: Tuple[Term, ...]
+    store: GuardianStore = field(repr=False, compare=False)
+    revision: int
+
+    @property
+    def dataset(self) -> Tuple[Term, ...]:
+        """D_G's P-labelled terms after this row."""
+        return self.store.p_terms_at(self.revision)
 
 
 class _GuardianMint:
@@ -356,17 +363,16 @@ class Guardian:
             entry.labels.add("critical")
         if inv_val:
             self._queue_plan(env)
-        self.module_log.append(ModuleLogRow(
-            seq=env.seq, ident=ident_val, crit=crit_val, inv=inv_val,
-            dataset=tuple(self.store.labeled_terms("P"))))
+        self.module_log.append(ModuleLogRow(env.seq, ident_val, crit_val,
+                                            inv_val, self.store,
+                                            self.store.revision))
         return bool(inv_val)
 
     def record_own(self, term: Term, seq: int) -> None:
         """Own fakes enter D_G labelled, with no module run."""
         self.store.add(term, {"P"}, source=("own", self.name))
-        self.module_log.append(ModuleLogRow(
-            seq=seq, ident=None, crit=None, inv=None,
-            dataset=tuple(self.store.labeled_terms("P"))))
+        self.module_log.append(ModuleLogRow(seq, None, None, None,
+                                            self.store, self.store.revision))
 
     # -- the plan queue --
 

@@ -11,6 +11,7 @@ from .guardian import is_defense_mechanism, topological_advantage
 from .protocols import builtin, builtin_names
 from .scenario import evaluate
 from .simulator import BudgetExceeded
+from .topology import TOPOLOGY_KINDS, ConfigError
 
 
 @dataclass
@@ -143,6 +144,9 @@ def defense_matrix(protocols=None, topologies=None, seed: int = 0) -> MatrixRepo
         case = builtin(name)
         kinds = topologies or case.applicable_kinds()
         for kind in kinds:
+            if kind not in TOPOLOGY_KINDS:
+                raise ConfigError(f"unknown topology kind {kind!r}; "
+                                  f"known: {list(TOPOLOGY_KINDS)}")
             if kind not in case.applicable_kinds():
                 continue
             report.cells.append(evaluate_cell(case, kind, seed))

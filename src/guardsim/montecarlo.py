@@ -55,6 +55,10 @@ def monte_carlo_fp(nonce_bits: int, dataset_size: int, trials: int,
     drawn and classified by the real distinguisher + invariant."""
     if trials <= 0:
         raise ConfigError("trials must be positive")
+    if nonce_bits < 0 or not 0 <= dataset_size <= 2 ** nonce_bits:
+        raise ConfigError(f"need nonce_bits >= 0 and dataset_size between 0 "
+                          f"and 2**nonce_bits, got {nonce_bits} and "
+                          f"{dataset_size}")
     from .protocols.iso_sc27 import make_guardian, wire
 
     rng = random.Random(seed)

@@ -3,7 +3,10 @@
 Messages transit as triplets (claimed sender, body, receiver); the true
 sender is resolvable only by the system.  The network dataset is
 non-monotonic (delivery and erasure remove envelopes) while its history
-log is append-only and replayable.
+is append-only and replayable.  That history is the one record of a run:
+each entry points at its envelope, and the presentation trace, the
+NDJSON trace file, the replay check and honest-send provenance are all
+read off it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .terms import Term
+from .terms import Term, wire_view
 from .topology import ConfigError, Topology
 
 
@@ -48,7 +51,6 @@ class Envelope:
     capture_credits: Set[str] = field(default_factory=set)
     hesitated_by: Set[str] = field(default_factory=set)
     deferred_by: Dict[str, int] = field(default_factory=dict)
-    fate: Optional[str] = None          # "delivered" | "erased"
     erased_by: Optional[str] = None
 
 
@@ -103,27 +105,27 @@ class DeadlockError(Exception):
     """No agent proposed an action: the scripts are stuck."""
 
 
-@dataclass
-class HistoryRecord:
-    index: int
-    action: str
-    seq: Optional[int]
-    claimed_sender: Optional[str]
-    true_sender: Optional[str]
-    receiver: Optional[str]
-    body: Optional[Term]
-    observers: Tuple[str, ...] = ()
-    rollbacks: Tuple[str, ...] = ()
+@dataclass(frozen=True)
+class NetEvent:
+    """One entry of the run's action record.  It points at the envelope
+    it touched instead of copying it: an envelope no longer changes once
+    it has left the wire, and the identities and body that a send or
+    inject entry shows never change."""
+    kind: str                        # send | inject | erase | deliver | signal
+    env: Optional[Envelope] = None   # None for a signal
+    rollbacks: Tuple[str, ...] = ()  # rivals whose erase of it lost
+    cause: object = None             # the applied Erase or ResilientSignal
 
 
 class NetworkState:
-    """D_net: the pending envelopes, the action index and the history."""
+    """D_net: the pending envelopes and the run's append-only action
+    record.  `enter` records what goes on the wire; the presentation
+    trace, which shares `history`, records each fate and signal."""
 
     def __init__(self, topology: Topology):
         self.topology = topology
         self.pending: Dict[int, Envelope] = {}
-        self.index = 0
-        self.history: List[HistoryRecord] = []
+        self.history: List[NetEvent] = []
         self._next_seq = 1
 
     def new_seq(self) -> int:
@@ -131,40 +133,31 @@ class NetworkState:
         self._next_seq += 1
         return seq
 
-    def record(self, action: str, env: Optional[Envelope] = None,
-               observers: Tuple[str, ...] = (),
-               rollbacks: Tuple[str, ...] = ()) -> HistoryRecord:
-        self.index += 1
-        rec = HistoryRecord(
-            index=self.index, action=action,
-            seq=env.seq if env else None,
-            claimed_sender=env.claimed_sender if env else None,
-            true_sender=env.true_sender if env else None,
-            receiver=env.receiver if env else None,
-            body=env.body if env else None,
-            observers=observers, rollbacks=rollbacks)
-        self.history.append(rec)
-        return rec
-
     def enter(self, env: Envelope, kind: str) -> None:
         self.pending[env.seq] = env
-        self.record(kind, env)
+        self.history.append(NetEvent(kind, env))
 
-    def remove(self, seq: int, kind: str, rollbacks: Tuple[str, ...] = ()) -> Envelope:
-        env = self.pending.pop(seq)
-        self.record(kind, env, observers=tuple(env.observers), rollbacks=rollbacks)
-        return env
+    def remove(self, seq: int) -> Envelope:
+        return self.pending.pop(seq)
 
     def replay_check(self) -> Dict[int, Tuple[str, Term, str]]:
         """Re-derive the pending set from history; used to assert the
         replay invariant."""
         live: Dict[int, Tuple[str, Term, str]] = {}
-        for rec in self.history:
-            if rec.action in ("send", "inject"):
-                live[rec.seq] = (rec.claimed_sender, rec.body, rec.receiver)
-            elif rec.action in ("erase", "deliver"):
-                live.pop(rec.seq, None)
+        for ev in self.history:
+            if ev.kind in ("send", "inject"):
+                live[ev.env.seq] = (ev.env.claimed_sender, ev.env.body,
+                                    ev.env.receiver)
+            elif ev.kind in ("erase", "deliver"):
+                live.pop(ev.env.seq, None)
         return live
+
+    def honest_sends(self) -> Set[Tuple[str, object, int, int]]:
+        """(sender, wire view, session, msg) of every honest send: the
+        provenance that tells a genuine relay apart from a deception."""
+        return {(ev.env.claimed_sender, wire_view(ev.env.body),
+                 ev.env.slot.session, ev.env.slot.msg)
+                for ev in self.history if ev.kind == "send"}
 
 
 def watchers(topology: Topology, env: Envelope) -> List[str]:

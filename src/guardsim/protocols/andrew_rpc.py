@@ -27,7 +27,7 @@ from ..network import Slot
 from ..terms import AgentId, Nonce, Pair, Succ, SymEnc, SymKey, Term
 from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring
+from .base import CaseStudy, Wiring, checked_attack
 
 KEY_AB = SymKey(value=3001, label="K_AB")
 
@@ -124,6 +124,7 @@ def make_guardian() -> Guardian:
 def wire(kind=None, guardian=True, attack="classic", seed=0,
          nonce_bits=64) -> Wiring:
     kind = kind or "A"
+    attack = checked_attack(attack, CASE)
     g = make_guardian() if guardian else None
     attackers = []
     if attack == "classic":
@@ -132,8 +133,6 @@ def wire(kind=None, guardian=True, attack="classic", seed=0,
     elif attack == "old-replay":
         fn = old_message_attack(old_round_ciphertext())
         seed_terms = [old_round_ciphertext()]
-    elif attack:
-        raise KeyError(f"unknown andrew attack {attack!r}")
     if attack:
         ks = KnowledgeSet([AgentId("A"), AgentId("B"), *seed_terms])
         attackers = [AttackerAgent("E", interest=["A"], function=fn,

@@ -9,7 +9,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from ..agents import AttackerAgent, HonestAgent
 from ..guardian import Guardian
 from ..simulator import Simulator
-from ..topology import Topology
+from ..topology import ConfigError, Topology
 
 
 @dataclass
@@ -31,6 +31,20 @@ class Wiring:
         for agent, script, session in self.initiators:
             sim.start_initiator(agent, script, session)
         return sim
+
+
+def checked_attack(attack: Optional[str], case: "CaseStudy",
+                   classic: Optional[str] = None) -> Optional[str]:
+    """The attack a builtin `wire` runs, checked against the study's
+    `attack_names`: None or "" runs honestly, and "classic" means
+    `classic` for a study whose attacks have other names.  Any other
+    unknown name is a ConfigError."""
+    if attack == "classic" and classic:
+        attack = classic
+    if attack and attack not in case.attack_names:
+        raise ConfigError(f"unknown attack {attack!r} for {case.name}; "
+                          f"known: {list(case.attack_names)}")
+    return attack
 
 
 @dataclass

@@ -26,7 +26,7 @@ from ..network import Slot
 from ..terms import AgentId, Pair, SymEnc, SymKey
 from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring
+from .base import CaseStudy, Wiring, checked_attack
 
 KEY_AS = SymKey(value=7001, label="K_AS")
 KEY_BS = SymKey(value=7002, label="K_BS")
@@ -163,8 +163,7 @@ def key_planted(result) -> bool:
 def wire(kind=None, guardian=True, attack="trace-1", seed=0,
          nonce_bits=64, window: int = 16) -> Wiring:
     kind = kind or "D"
-    if attack == "classic":
-        attack = "trace-1"
+    attack = checked_attack(attack, CASE, classic="trace-1")
     g = make_guardian(window=window) if guardian else None
     attackers = []
     if attack:

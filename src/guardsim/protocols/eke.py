@@ -28,7 +28,7 @@ from ..network import Slot
 from ..terms import AgentId, Password
 from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring
+from .base import CaseStudy, Wiring, checked_attack
 
 PASSWORD = Password(value=5001, label="P")
 
@@ -98,6 +98,7 @@ def make_guardian() -> Guardian:
 def wire(kind=None, guardian=True, attack="classic", seed=0,
          nonce_bits=64) -> Wiring:
     kind = kind or "A"
+    attack = checked_attack(attack, CASE)
     g = make_guardian() if guardian else None
     attackers = []
     if attack:

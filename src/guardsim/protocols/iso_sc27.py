@@ -26,7 +26,7 @@ from ..network import Slot
 from ..terms import AgentId, SymKey
 from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring
+from .base import CaseStudy, Wiring, checked_attack
 
 KEY_AB = SymKey(value=1001, label="K_AB")
 
@@ -101,6 +101,7 @@ def make_guardian() -> Guardian:
 def wire(kind=None, guardian=True, attack="classic", seed=0,
          nonce_bits=64) -> Wiring:
     kind = kind or "A"
+    attack = checked_attack(attack, CASE)
     g = make_guardian() if guardian else None
     attackers = [make_attacker()] if attack else []
     topo = base_topology(kind, honest=("A", "B"),

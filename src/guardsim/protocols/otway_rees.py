@@ -26,7 +26,7 @@ from ..network import Slot
 from ..terms import AgentId, SymEnc, SymKey
 from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring
+from .base import CaseStudy, Wiring, checked_attack
 
 KEY_AS = SymKey(value=4001, label="K_AS")
 KEY_BS = SymKey(value=4002, label="K_BS")
@@ -161,8 +161,7 @@ def make_guardian() -> Guardian:
 def wire(kind=None, guardian=True, attack="trace-1", seed=0,
          nonce_bits=64) -> Wiring:
     kind = kind or "C"
-    if attack == "classic":
-        attack = "trace-1"
+    attack = checked_attack(attack, CASE, classic="trace-1")
     g = make_guardian() if guardian else None
     attackers = []
     if attack:

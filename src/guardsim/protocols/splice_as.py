@@ -29,7 +29,7 @@ from ..network import Slot
 from ..terms import AgentId, AsymKey, Lifetime, Timestamp
 from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring
+from .base import CaseStudy, Wiring, checked_attack
 
 K_AS_PUB = AsymKey(pair_id=6001, private=False, label="K_AS")
 K_AS_PRIV = AsymKey(pair_id=6001, private=True, label="K_AS")
@@ -188,6 +188,7 @@ def deceived_by_retarget(result) -> bool:
 def wire(kind=None, guardian=True, attack="classic", seed=0,
          nonce_bits=64, window: int = 16) -> Wiring:
     kind = kind or "C"
+    attack = checked_attack(attack, CASE)
     g = make_guardian(window=window) if guardian else None
     attackers = []
     if attack:

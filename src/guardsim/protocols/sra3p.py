@@ -24,7 +24,7 @@ from ..network import Slot
 from ..terms import AgentId, SymKey
 from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring
+from .base import CaseStudy, Wiring, checked_attack
 
 KEY_A = SymKey(value=2001, label="K_A")
 KEY_B = SymKey(value=2002, label="K_B")
@@ -97,6 +97,7 @@ def secret_leaked(result) -> bool:
 def wire(kind=None, guardian=True, attack="classic", seed=0,
          nonce_bits=64) -> Wiring:
     kind = kind or "A"
+    attack = checked_attack(attack, CASE)
     g = make_guardian() if guardian else None
     attackers = []
     if attack:

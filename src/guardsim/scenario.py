@@ -71,10 +71,10 @@ def evaluate(result: SimResult, victim: str, attack_present: bool,
     deceived victim session in a guarded run; a false positive is
     interference during a run with no attack."""
     from .terms import wire_view
+    honest_sends = result.network.honest_sends()
 
     def genuine(claimed: str, body, session: int, msg: int) -> bool:
-        return (claimed, wire_view(body), session, msg) in \
-            (result.honest_sends or set())
+        return (claimed, wire_view(body), session, msg) in honest_sends
 
     sessions: List[SessionReport] = []
     victim_deceived = 0
@@ -185,9 +185,6 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         raise ConfigError("nonce_bits must not be negative")
     if isinstance(config.protocol, str):
         case = builtin(config.protocol)
-        if config.attack and config.attack not in case.attack_names:
-            raise ConfigError(f"unknown attack {config.attack!r} for "
-                              f"{case.name}; known: {list(case.attack_names)}")
         wiring = case.wire(kind=config.topology, guardian=config.guardian,
                            attack=config.attack, seed=config.seed,
                            nonce_bits=config.nonce_bits)
@@ -237,19 +234,22 @@ def export_builtin(name: str, topology: Optional[str] = None,
 
 
 def write_trace_file(result: SimResult, path: str) -> None:
-    """Line-delimited JSON action log: seq, action, identities, body,
-    observers and rollbacks per network action."""
+    """Line-delimited JSON action log, one line per entry of the run's
+    record: seq, action, identities, body, observers (of an envelope
+    leaving the wire) and rollbacks (of an erase)."""
     with open(path, "w") as fh:
-        for rec in result.network.history:
+        for index, ev in enumerate(result.network.history, start=1):
+            env = ev.env
             fh.write(json.dumps({
-                "seq": rec.index,
-                "action": rec.action,
-                "claimed_sender": rec.claimed_sender,
-                "true_sender": rec.true_sender,
-                "receiver": rec.receiver,
-                "body": render(rec.body) if rec.body is not None else None,
-                "observers": list(rec.observers),
-                "rollbacks": list(rec.rollbacks),
+                "seq": index,
+                "action": ev.kind,
+                "claimed_sender": env.claimed_sender if env else None,
+                "true_sender": env.true_sender if env else None,
+                "receiver": env.receiver if env else None,
+                "body": render(env.body) if env else None,
+                "observers": (env.observers
+                              if ev.kind in ("erase", "deliver") else []),
+                "rollbacks": list(ev.rollbacks),
             }, sort_keys=True) + "\n")
 
 

@@ -28,8 +28,7 @@ from .agents import (AttackerAgent, EraseStep, FreshMint, HonestAgent,
                      RoleScript, match)
 from .guardian import Guardian
 from .network import (DeadlockError, Deliver, Envelope, Erase, Inject,
-                      NetworkState, ResilientSignal, Send, Slot, watchers)
-from .terms import wire_view
+                      NetworkState, ResilientSignal, Send, watchers)
 from .topology import ConfigError, Topology
 from .trace import Trace
 
@@ -47,9 +46,6 @@ class SimResult:
     guardian: Optional[Guardian]
     rounds: int
     aborted_by_guardian: bool
-    # (sender, wire view, session, msg) of every honest send: provenance
-    # for telling a genuine relay apart from a deception
-    honest_sends: Set[Tuple[str, object, int, int]] = None
 
 
 class Simulator:
@@ -74,10 +70,9 @@ class Simulator:
         self.max_rounds = max_rounds
         self.stop_on_abort = stop_on_abort
         self.net = NetworkState(topology)
-        self.trace = Trace()
+        self.trace = Trace(self.net.history)
         self.rounds = 0
         self.aborted = False
-        self.honest_sends: Set[Tuple[str, object, int, int]] = set()
 
     # -- wiring helpers --
 
@@ -188,8 +183,6 @@ class Simulator:
         env = Envelope(seq=self.net.new_seq(), claimed_sender=prop.sender,
                        body=prop.body, receiver=prop.receiver,
                        true_sender=prop.sender, slot=prop.slot)
-        self.honest_sends.add((prop.sender, wire_view(prop.body),
-                               prop.slot.session, prop.slot.msg))
         self.net.enter(env, "send")
 
     def _apply_inject(self, att: Optional[AttackerAgent],
@@ -217,7 +210,6 @@ class Simulator:
                      all_attacker_props) -> None:
         rollbacks = []
         env = self.net.pending[prop.target_seq]
-        env.fate = "erased"
         env.erased_by = prop.actor
         if actor_att is not None and prop.own_step:
             self._consume_erase_step(actor_att, env)
@@ -240,20 +232,12 @@ class Simulator:
             if isinstance(other.current_step(), EraseStep):
                 self._consume_erase_step(other, env)
                 env.capture_credits.add(name)
-        self.net.remove(prop.target_seq, "erase", rollbacks=tuple(rollbacks))
-        step = self.trace.add_message(env, delivered=False)
-        if prop.stop_note:
-            label = env.slot.label(self.trace.multi_session)
-            sub_slot = Slot(env.slot.session, env.slot.msg, env.slot.primes,
-                            env.slot.sub + 1)
-            self.trace.add_note(
-                "stop", sub_slot.label(self.trace.multi_session),
-                f"G stops message {label}")
+        self.net.remove(prop.target_seq)
+        self.trace.add_message(env, delivered=False,
+                               rollbacks=tuple(rollbacks), cause=prop)
 
     def _apply_deliver(self, seq: int) -> None:
-        env = self.net.pending[seq]
-        env.fate = "delivered"
-        self.net.remove(seq, "deliver")
+        env = self.net.remove(seq)
         self.trace.add_message(env, delivered=True)
         receiver = self.honest.get(env.receiver)
         if receiver is not None:
@@ -275,12 +259,7 @@ class Simulator:
             raise ConfigError(
                 f"no resilient link {g.name}->{prop.target}; the defense requires one")
         self.honest[prop.target].set_flag(prop.flag)
-        self.net.record("signal")
-        if prop.style == "raise":
-            text = f"G raises {prop.target}'s flag for abort"
-        else:
-            text = f"{prop.target} aborts"
-        self.trace.add_note("abort", prop.label, text)
+        self.trace.add_signal(prop)
         self.aborted = True
 
     # -- main loop --
@@ -334,6 +313,5 @@ class Simulator:
         return SimResult(trace=self.trace, network=self.net,
                          honest=self.honest, attackers=self.attackers,
                          guardian=self.guardian, rounds=self.rounds,
-                         aborted_by_guardian=self.aborted,
-                         honest_sends=self.honest_sends)
+                         aborted_by_guardian=self.aborted)
 

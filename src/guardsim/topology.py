@@ -130,6 +130,9 @@ class Topology:
         return any(guardian in g for g in stretch)
 
 
+TOPOLOGY_KINDS = ("A", "B", "C", "D", "E", "F")
+
+
 def base_topology(kind: str, honest: Sequence[str] = ("A", "B", "S"),
                   attackers: Sequence[str] = ("E",),
                   guardian: Optional[str] = "G",

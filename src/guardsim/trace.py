@@ -1,18 +1,21 @@
 """Visible protocol traces.
 
-A run produces two records: the fine-grained network action history and
-the presentation trace, one step per message fate (delivered or taken)
-plus guardian notes (fakes, stops, abort flags).  The presentation steps
-carry the conventional annotations, e.g. ``A -> E(B) : N_A`` for a send
-taken by E masquerading as B, and merged credits like ``E_{1,2}(B)``.
+A run keeps one record: the append-only list of network actions in
+`NetworkState.history`, each entry pointing at its envelope.  The
+presentation trace is a view of it, one step per message fate (delivered
+or taken) plus the guardian notes that go with the record's entries (a
+stop after a StopMessage erase, the abort after a signal); the NDJSON
+trace file and the replay check read the same list.  The steps carry the
+conventional annotations, e.g. ``A -> E(B) : N_A`` for a send taken by E
+masquerading as B, and merged credits like ``E_{1,2}(B)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .network import Envelope, Slot
+from .network import Envelope, NetEvent, ResilientSignal, Slot
 from .terms import Term, render
 
 
@@ -30,94 +33,87 @@ def merge_ids(ids) -> str:
     return ",".join(ids)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceStep:
-    kind: str                      # "message" | "abort" | "stop"
-    slot: Optional[Slot] = None
-    label_override: Optional[str] = None
-    sender_ids: Tuple[str, ...] = ()
-    masquerade: Optional[str] = None   # claimed identity when forged
-    receiver: str = ""
-    takers: Tuple[str, ...] = ()       # who took the message off the wire
-    body: Optional[Term] = None
-    text: str = ""
-    seq: Optional[int] = None
-    true_sender: str = ""
-    observers: Tuple[str, ...] = ()
+    """One presentation line, read off a record entry."""
+    kind: str          # "message" | "stop" | "abort"
+    event: NetEvent
 
-    def label(self, multi_session: bool) -> str:
-        if self.label_override is not None:
-            return self.label_override
-        return self.slot.label(multi_session) if self.slot else ""
+    @property
+    def body(self) -> Optional[Term]:
+        return self.event.env.body if self.kind == "message" else None
 
-    def sender_str(self) -> str:
-        base = merge_ids(self.sender_ids)
-        if self.masquerade is not None:
-            return f"{base}({self.masquerade})"
-        return base
+    def columns(self, multi_session: bool) -> Tuple[str, str, str, str]:
+        """(label, sender, receiver, body); a note puts its text in the
+        sender column and leaves the other two empty."""
+        env, cause = self.event.env, self.event.cause
+        if self.kind == "abort":
+            text = (f"G raises {cause.target}'s flag for abort"
+                    if cause.style == "raise" else f"{cause.target} aborts")
+            return (cause.label, text, "", "")
+        slot = env.slot
+        label = slot.label(multi_session)
+        if self.kind == "stop":
+            sub = Slot(slot.session, slot.msg, slot.primes, slot.sub + 1)
+            return (sub.label(multi_session), f"G stops message {label}",
+                    "", "")
+        sender = env.claimed_sender
+        if env.injected:
+            sender = merge_ids({env.true_sender} | env.sender_credits)
+            if env.claimed_sender != env.true_sender:  # E -> B, not E(E)
+                sender += f"({env.claimed_sender})"
+        receiver = env.receiver
+        if self.event.kind == "erase":
+            takers = merge_ids({env.erased_by} | env.capture_credits)
+            receiver = f"{takers}({receiver})"
+        return (label, sender, receiver, render(env.body))
 
-    def receiver_str(self) -> str:
-        if self.takers:
-            return f"{merge_ids(self.takers)}({self.receiver})"
-        return self.receiver
 
-
-@dataclass
 class Trace:
-    steps: List[TraceStep] = field(default_factory=list)
-    multi_session: bool = False
+    """The presentation view of a run's action record.  `add_message`
+    and `add_signal` append the fates and signals to the record."""
 
-    def note_session(self, session: int) -> None:
-        if session > 1:
-            self.multi_session = True
+    def __init__(self, history: List[NetEvent]):
+        self.history = history
 
-    def add_message(self, env: Envelope, delivered: bool) -> TraceStep:
-        self.note_session(env.slot.session)
-        senders = {env.true_sender} | set(env.sender_credits) if env.injected \
-            else {env.claimed_sender}
-        masquerade = env.claimed_sender if env.injected else None
-        if masquerade == env.true_sender:
-            masquerade = None  # unmasked injection: E -> B, not E(E) -> B
-        step = TraceStep(
-            kind="message", slot=env.slot,
-            sender_ids=tuple(sorted(senders)),
-            masquerade=masquerade,
-            receiver=env.receiver,
-            takers=() if delivered else tuple(sorted(
-                {env.erased_by} | set(env.capture_credits))),
-            body=env.body, seq=env.seq, true_sender=env.true_sender,
-            observers=tuple(env.observers))
-        self.steps.append(step)
-        return step
+    def add_message(self, env: Envelope, delivered: bool,
+                    rollbacks: Tuple[str, ...] = (),
+                    cause: object = None) -> None:
+        self.history.append(NetEvent("deliver" if delivered else "erase",
+                                     env, rollbacks, cause))
 
-    def add_note(self, kind: str, label: str, text: str) -> TraceStep:
-        step = TraceStep(kind=kind, label_override=label, text=text)
-        self.steps.append(step)
-        return step
+    def add_signal(self, signal: ResilientSignal) -> None:
+        self.history.append(NetEvent("signal", cause=signal))
 
-    def lines(self) -> List[str]:
+    @property
+    def steps(self) -> List[TraceStep]:
         out = []
-        for s in self.steps:
-            label = s.label(self.multi_session)
-            if s.kind == "message":
-                out.append(f"({label}) {s.sender_str()} -> {s.receiver_str()}"
-                           f" : {render(s.body)}")
-            else:
-                out.append(f"({label}) {s.text}")
+        for ev in self.history:
+            if ev.kind in ("erase", "deliver"):
+                out.append(TraceStep("message", ev))
+                if ev.kind == "erase" and ev.cause.stop_note:
+                    out.append(TraceStep("stop", ev))
+            elif ev.kind == "signal":
+                out.append(TraceStep("abort", ev))
         return out
+
+    @property
+    def multi_session(self) -> bool:
+        """Labels carry the session once any message fate is from a
+        session other than the first."""
+        return any(ev.env.slot.session > 1 for ev in self.history
+                   if ev.kind in ("erase", "deliver"))
 
     def tuples(self) -> List[Tuple[str, str, str, str]]:
         """(label, sender, receiver, body) per step; notes collapse the
         sender/receiver columns into the text."""
-        out = []
-        for s in self.steps:
-            label = s.label(self.multi_session)
-            if s.kind == "message":
-                out.append((label, s.sender_str(), s.receiver_str(),
-                            render(s.body)))
-            else:
-                out.append((label, s.text, "", ""))
-        return out
+        multi = self.multi_session
+        return [s.columns(multi) for s in self.steps]
+
+    def lines(self) -> List[str]:
+        return [f"({label}) {sender} -> {receiver} : {body}" if receiver
+                else f"({label}) {sender}"   # a note
+                for label, sender, receiver, body in self.tuples()]
 
     def render(self) -> str:
         return "\n".join(self.lines())

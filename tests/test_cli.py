@@ -51,6 +51,10 @@ def test_bad_scenario_input_exit(tmp_path, text):
     ["montecarlo", "--trials", "0", "--nonce-bits", "8"],
     ["montecarlo", "--trials", "10"],
     ["export-builtin", "no-such-protocol"],
+    ["montecarlo", "--trials", "1", "--nonce-bits", "2",
+     "--dataset-size", "5"],
+    ["montecarlo", "--trials", "1", "--nonce-bits", "-1"],
+    ["matrix", "--topologies", "Z"],
 ])
 def test_bad_arguments_exit(argv):
     assert main(argv) == 64

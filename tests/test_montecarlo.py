@@ -3,6 +3,7 @@
 import pytest
 
 from guardsim.montecarlo import monte_carlo_fp, wilson_interval
+from guardsim.topology import ConfigError
 
 
 def test_wilson_interval_basic():
@@ -33,6 +34,17 @@ def test_wide_nonces_rate_zero():
 def test_zero_trials_rejected():
     with pytest.raises(ValueError):
         monte_carlo_fp(nonce_bits=8, dataset_size=4, trials=0)
+
+
+def test_impossible_dataset_rejected():
+    # four 2-bit nonces exist; a fifth distinct one would be drawn forever
+    for bits, size in ((2, 5), (-1, 0), (8, -3)):
+        with pytest.raises(ConfigError):
+            monte_carlo_fp(nonce_bits=bits, dataset_size=size, trials=1,
+                           warm_with_run=False)
+    est = monte_carlo_fp(nonce_bits=2, dataset_size=4, trials=100,
+                         warm_with_run=False)
+    assert est.hits == 100
 
 
 def test_deterministic_given_seed():

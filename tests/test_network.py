@@ -1,9 +1,12 @@
 """Network arbitration, replay, spy permanence and determinism."""
 
+import json
+
 from guardsim.agents import HonestAgent
 from guardsim.knowledge import KnowledgeSet
 from guardsim.protocols.iso_sc27 import (initiator_script, make_attacker,
                                          responder_script, wire)
+from guardsim.scenario import write_trace_file
 from guardsim.simulator import Simulator
 from guardsim.terms import Nonce
 from guardsim.topology import shared_channel_topology
@@ -19,8 +22,8 @@ def test_attacker_priority_over_delivery():
     # pending deliveries in the same round
     result = run_attack()
     first = result.network.history[1]
-    assert first.action == "erase"
-    assert first.claimed_sender == "A"
+    assert first.kind == "erase"
+    assert first.env.claimed_sender == "A"
 
 
 def test_replay_reproduces_pending_set():
@@ -29,11 +32,14 @@ def test_replay_reproduces_pending_set():
     assert {seq for seq in live} == set(result.network.pending)
 
 
-def test_history_is_monotonic_and_indexed():
+def test_history_is_monotonic_and_indexed(tmp_path):
     result = run_attack()
-    indices = [rec.index for rec in result.network.history]
+    path = tmp_path / "trace.ndjson"
+    write_trace_file(result, str(path))
+    indices = [json.loads(line)["seq"] for line in path.open()]
     assert indices == sorted(indices)
     assert len(set(indices)) == len(indices)
+    assert len(indices) == len(result.network.history)
 
 
 def test_spy_permanence_after_erase():
@@ -48,8 +54,7 @@ def test_determinism_bit_identical_traces():
     r1 = run_attack(seed=123)
     r2 = run_attack(seed=123)
     assert r1.trace.render() == r2.trace.render()
-    assert [rec.__dict__ for rec in r1.network.history] == \
-        [rec.__dict__ for rec in r2.network.history]
+    assert r1.network.history == r2.network.history
 
 
 def test_seed_changes_values_not_structure():
@@ -94,12 +99,12 @@ def test_visibility_containment():
     result = run_attack(guardian=True)
     e = result.attackers[0]
     observed_bodies = set()
-    for rec in result.network.history:
-        if rec.body is None:
+    for ev in result.network.history:
+        if ev.env is None:
             continue
-        if e.name in rec.observers or rec.true_sender == e.name:
+        if e.name in ev.env.observers or ev.env.true_sender == e.name:
             from guardsim.terms import subterms
-            observed_bodies.update(subterms(rec.body))
+            observed_bodies.update(subterms(ev.env.body))
     from guardsim.terms import AgentId
     for term in e.knowledge:
         if isinstance(term, AgentId):

@@ -34,6 +34,16 @@ def test_builtin_catalog():
         builtin("nope")
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_wire_rejects_unknown_attack(name):
+    case = builtin(name)
+    with pytest.raises(ConfigError):
+        case.wire(attack="bogus")
+    for attack in case.attack_names:
+        assert case.wire(attack=attack).attackers
+    assert not case.wire(attack=None).attackers
+
+
 def test_partial_iff_fn_conditions():
     for name in builtin_names():
         case = builtin(name)

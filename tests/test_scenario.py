@@ -35,6 +35,16 @@ def test_honest_run_no_attack():
     assert result.outcome.false_positives == 0
 
 
+def test_classic_attack_alias_in_scenarios():
+    # "classic", the config default, names trace-1 where a study numbers
+    # its attacks
+    for name in ("otway-rees", "bme-fixed"):
+        default = run_scenario(ScenarioConfig(protocol=name))
+        first = run_scenario(ScenarioConfig(protocol=name, attack="trace-1"))
+        assert default.trace.lines() == first.trace.lines()
+        assert default.outcome.to_dict() == first.outcome.to_dict()
+
+
 def test_unknown_fields_rejected():
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"protocol": "iso-sc-27", "bogus": 1})
@@ -52,6 +62,52 @@ def test_trace_file_idempotent(tmp_path):
     rec = json.loads(p1.read_text().splitlines()[0])
     assert set(rec) == {"seq", "action", "claimed_sender", "true_sender",
                         "receiver", "body", "observers", "rollbacks"}
+
+
+GOLDEN_TRACE_FILE = [
+    '{"action": "send", "body": "N_A", "claimed_sender": "A", '
+    '"observers": [], "receiver": "B", "rollbacks": [], "seq": 1, '
+    '"true_sender": "A"}',
+    '{"action": "erase", "body": "N_A", "claimed_sender": "A", '
+    '"observers": ["G", "E"], "receiver": "B", "rollbacks": [], "seq": 2, '
+    '"true_sender": "A"}',
+    '{"action": "inject", "body": "N_A", "claimed_sender": "B", '
+    '"observers": [], "receiver": "A", "rollbacks": [], "seq": 3, '
+    '"true_sender": "E"}',
+    '{"action": "erase", "body": "N_A", "claimed_sender": "B", '
+    '"observers": ["G"], "receiver": "A", "rollbacks": [], "seq": 4, '
+    '"true_sender": "E"}',
+    '{"action": "inject", "body": "N_fake", "claimed_sender": "B", '
+    '"observers": [], "receiver": "A", "rollbacks": [], "seq": 5, '
+    '"true_sender": "G"}',
+    '{"action": "deliver", "body": "N_fake", "claimed_sender": "B", '
+    '"observers": [], "receiver": "A", "rollbacks": [], "seq": 6, '
+    '"true_sender": "G"}',
+    '{"action": "send", "body": "{|N_fake,N\'_A|}K_AB", '
+    '"claimed_sender": "A", "observers": [], "receiver": "B", '
+    '"rollbacks": [], "seq": 7, "true_sender": "A"}',
+    '{"action": "erase", "body": "{|N_fake,N\'_A|}K_AB", '
+    '"claimed_sender": "A", "observers": ["G", "E"], "receiver": "B", '
+    '"rollbacks": [], "seq": 8, "true_sender": "A"}',
+    '{"action": "inject", "body": "{|N_fake,N\'_A|}K_AB", '
+    '"claimed_sender": "B", "observers": [], "receiver": "A", '
+    '"rollbacks": [], "seq": 9, "true_sender": "E"}',
+    '{"action": "deliver", "body": "{|N_fake,N\'_A|}K_AB", '
+    '"claimed_sender": "B", "observers": ["G"], "receiver": "A", '
+    '"rollbacks": [], "seq": 10, "true_sender": "E"}',
+    '{"action": "signal", "body": null, "claimed_sender": null, '
+    '"observers": [], "receiver": null, "rollbacks": [], "seq": 11, '
+    '"true_sender": null}',
+]
+
+
+def test_trace_file_golden_lines(tmp_path):
+    # the README run: iso-sc-27, guardian on, classic attack, seed 5
+    cfg = ScenarioConfig(protocol="iso-sc-27", guardian=True,
+                         attack="classic", seed=5)
+    path = tmp_path / "trace.ndjson"
+    write_trace_file(run_scenario(cfg).sim, str(path))
+    assert path.read_text().splitlines() == GOLDEN_TRACE_FILE
 
 
 def test_export_builtin_roundtrip(tmp_path):
