@@ -11,12 +11,16 @@ target), run a step-indexed attack function, may masquerade, and react
 to rival attackers according to their awareness of them: a naive rival
 is shadowed (identical intents merge), a known-dishonest rival's forged
 traffic is taken off the wire, an uncertain rival gets one free move.
+That policy lives in AttackerAgent alone: what it spied is read off the
+envelopes' observers, and its step, hesitations and deferrals are its
+own state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from .knowledge import KnowledgeSet
 from .network import Envelope, Erase, Inject, Send, Slot
@@ -82,12 +86,6 @@ class PAsymEnc:
 
 
 @dataclass(frozen=True)
-class PCommEnc:
-    payload: object
-    keys: Tuple[object, ...]
-
-
-@dataclass(frozen=True)
 class PSucc:
     base: object
     offset: int
@@ -145,15 +143,6 @@ def match(pattern, term: Term, bindings: Dict[str, Term]) -> Optional[Dict[str, 
         out = match(pattern.key, term.key, bindings)
         if out is None:
             return None
-        return match(pattern.payload, term.payload, out)
-    if isinstance(pattern, PCommEnc):
-        if not isinstance(term, CommEnc) or len(term.keys) != len(pattern.keys):
-            return None
-        out = bindings
-        for pat, k in zip(pattern.keys, term.keys):
-            out = match(pat, k, out)
-            if out is None:
-                return None
         return match(pattern.payload, term.payload, out)
     if isinstance(pattern, PSucc):
         if isinstance(term, Succ) and term.offset == pattern.offset:
@@ -574,10 +563,30 @@ class AttackerAgent:
         self.step_ptr = 0
         self.engaged = False
         self.withdrawn = False
-        self.ordinal = 0               # registration order, set by the runner
-        self.seen: Set[int] = set()    # envelope seqs this attacker spied
+        # seqs of the envelopes this attacker let pass once (hesitation)
+        self.hesitations: Set[int] = set()
+        # seq -> step at which it left that envelope's erase to a rival
+        self.deferrals: Dict[int, int] = {}
 
     # -- knowledge / spying --
+
+    def watch(self, env: Envelope) -> bool:
+        """Spy an envelope passing this attacker's station through the
+        inflow/outflow filters; True iff a filter caught it.  Filters go
+        by perceived identities: masquerades fool rival interceptors too."""
+        inflow = "inflow" in self.filters and env.receiver in self.interest
+        outflow = ("outflow" in self.filters
+                   and env.claimed_sender in self.interest)
+        if inflow:
+            self.spy(env, "inflow")
+        if outflow:
+            self.spy(env, "outflow")
+        return inflow or outflow
+
+    def sees(self, env: Envelope) -> bool:
+        """True iff this attacker spied `env` or injected it."""
+        return self.name in env.observers or \
+            (env.injected and env.true_sender == self.name)
 
     def spy(self, env: Envelope, direction: str) -> None:
         """Apply the inflow/outflow spy rule: record the body, plus the
@@ -593,7 +602,7 @@ class AttackerAgent:
 
     def receive(self, env: Envelope) -> None:
         self.knowledge.add(env.body)
-        self._observe(env, received=True)
+        self._observe(env)
 
     def _note_rival(self, env: Envelope) -> None:
         if not env.injected or env.true_sender == self.name:
@@ -604,12 +613,12 @@ class AttackerAgent:
             # envelope that revealed it gets a free pass (hesitation).
             if self.awareness.get(rival) == "unsure":
                 self.awareness[rival] = "dishonest"
-                env.hesitated_by.add(self.name)
+                self.hesitations.add(env.seq)
             if self.variant == "abort-on-rival" and \
                     self.awareness.get(rival) == "dishonest":
                 self.withdrawn = True
 
-    def _observe(self, env: Envelope, received: bool = False) -> None:
+    def _observe(self, env: Envelope) -> None:
         while not self.withdrawn and self.function is not None:
             step = self.current_step()
             if not isinstance(step, ObserveStep):
@@ -630,60 +639,39 @@ class AttackerAgent:
             return self.function.steps[self.step_ptr]
         return None
 
-    def consume_step(self) -> None:
-        self.step_ptr += 1
-
     def note_slot_filled(self, env: Envelope) -> None:
         """A delivered envelope filled a protocol slot; an inject step
-        aimed at that slot is moot (vigilant attackers track this)."""
+        aimed at that slot is moot to a vigilant attacker that saw or
+        received the envelope."""
         step = self.current_step()
         if isinstance(step, InjectStep) and self.variant == "divert" \
                 and (env.slot.session, env.slot.msg) == \
-                    (step.slot.session, step.slot.msg):
-            self.consume_step()
+                    (step.slot.session, step.slot.msg) \
+                and (self.sees(env) or env.receiver == self.name):
+            self.step_ptr += 1
 
     # -- action selection --
 
     def rank(self) -> int:
         return 0 if (self.variant == "divert" and self.engaged) else 1
 
-    def holding(self, pending: Dict[int, Envelope]) -> bool:
-        """While an envelope this attacker hesitated on is still in
-        flight, he only watches."""
-        return any(self.name in env.hesitated_by
-                   for env in pending.values())
-
-    def rival_target(self, pending: Dict[int, Envelope],
-                     seen: Set[int]) -> Optional[Envelope]:
-        """A known-dishonest rival's forged envelope visible to me."""
-        if self.variant != "divert":
-            return None
-        for seq in sorted(pending):
-            env = pending[seq]
-            if seq not in seen or not env.injected:
-                continue
-            if env.true_sender == self.name:
-                continue
-            if self.name in env.hesitated_by:
-                continue
-            if self.awareness.get(env.true_sender) == "dishonest":
-                return env
-        return None
-
-    def own_step_action(self, pending: Dict[int, Envelope], seen: Set[int],
-                        rivals_seeing: Callable[[Envelope], Set[str]]):
-        """Proposal (or internal consumption) for the current attack step.
-
-        Returns an Erase/Inject proposal, or ("defer", env) when a
-        vigilant unengaged attacker leaves the erase to an earlier-placed
-        rival, or None."""
+    def propose(self, pending: Dict[int, Envelope],
+                earlier: Sequence["AttackerAgent"]
+                ) -> Optional[Union[Erase, Inject]]:
+        """This round's intended action, or None.  `earlier` are the
+        rivals placed before this attacker: a vigilant unengaged attacker
+        leaves an erase to one it suspects and that sees the envelope,
+        and records the deferral instead of proposing."""
+        if self.withdrawn or any(seq in self.hesitations for seq in pending):
+            return None   # watches while a hesitated-on envelope is in flight
+        rival_env = self._rival_target(pending)
+        if rival_env is not None:
+            return Erase(actor=self.name, target_seq=rival_env.seq, rank=0)
         step = self.current_step()
-        if step is None or self.withdrawn:
-            return None
         if isinstance(step, EraseStep):
             for seq in sorted(pending):
                 env = pending[seq]
-                if seq not in seen:
+                if not self.sees(env):
                     continue
                 if env.claimed_sender != step.from_agent:
                     continue
@@ -691,29 +679,75 @@ class AttackerAgent:
                     continue
                 if match(step.pattern, env.body, self.bindings) is None:
                     continue
-                if self.variant == "divert" and not self.engaged:
-                    suspect = {r for r, a in self.awareness.items()
-                               if a in ("dishonest", "unsure")}
-                    if suspect & rivals_seeing(env):
-                        return ("defer", env)
+                if self.variant == "divert" and not self.engaged and any(
+                        self.awareness.get(r.name) in ("dishonest", "unsure")
+                        and r.sees(env) for r in earlier):
+                    self.deferrals[seq] = self.step_ptr
+                    return None
                 return Erase(actor=self.name, target_seq=seq,
                              rank=self.rank(), own_step=True)
             return None
         if isinstance(step, InjectStep):
             if self.variant != "divert":
+                # a rival already sent exactly this: shadow it
                 for seq in sorted(pending):
                     env = pending[seq]
-                    if seq in seen and env.claimed_sender == step.claimed \
+                    if self.sees(env) and env.claimed_sender == step.claimed \
                             and env.receiver == step.receiver \
                             and wire_eq(env.body, self._render_body(step)):
                         env.sender_credits.add(self.name)
-                        self.consume_step()
+                        self.step_ptr += 1
                         return None
             body = self._render_body(step)
             return Inject(actor=self.name, claimed=step.claimed, body=body,
                           receiver=step.receiver, slot=step.slot,
                           rank=self.rank())
         return None
+
+    def _rival_target(self, pending: Dict[int, Envelope]
+                      ) -> Optional[Envelope]:
+        """A known-dishonest rival's forged envelope visible to me."""
+        if self.variant != "divert":
+            return None
+        for seq in sorted(pending):
+            env = pending[seq]
+            if not env.injected or env.true_sender == self.name:
+                continue
+            if not self.sees(env) or seq in self.hesitations:
+                continue
+            if self.awareness.get(env.true_sender) == "dishonest":
+                return env
+        return None
+
+    # -- what became of the proposals --
+
+    def took(self, env: Envelope) -> None:
+        """`env` left the wire on this attacker's erase, or on an identical
+        one merged with it: an erase step binds what it captured and is
+        consumed."""
+        step = self.current_step()
+        if isinstance(step, EraseStep):
+            got = match(step.pattern, env.body, self.bindings)
+            if got is not None:
+                self.bindings = got
+            if step.bind:
+                self.bindings[step.bind] = env.body
+            self.step_ptr += 1
+
+    def took_deferred(self, env: Envelope) -> bool:
+        """A rival took `env`, whose erase this attacker left to it: if
+        it still stands at the step it deferred at, it consumes that step
+        vicariously.  True iff it did (it then shares the capture)."""
+        if self.deferrals.get(env.seq) != self.step_ptr or \
+                not isinstance(self.current_step(), EraseStep):
+            return False
+        self.took(env)
+        return True
+
+    def injected(self) -> None:
+        """This attacker's injection went on the wire."""
+        self.step_ptr += 1
+        self.engaged = True
 
     def _render_body(self, step: InjectStep) -> Term:
         return instantiate(step.body, self.bindings, _NullMint(), self.name, 64)

@@ -60,19 +60,22 @@ class ScriptedAttacker(AttackerAgent):
             self._spied_keys.add(key)
             self.spied_terms.append(env.body)
 
-    def options(self, pending, seen) -> List[Tuple]:
-        opts: List[Tuple] = []
-        visible = [seq for seq in sorted(pending)
-                   if seq in seen and not pending[seq].injected]
-        for i in range(len(visible)):
-            opts.append(("erase", i))
+    def _visible(self, pending) -> List[int]:
+        return [seq for seq in sorted(pending)
+                if self.sees(pending[seq]) and not pending[seq].injected]
+
+    def options(self, pending) -> List[Tuple]:
+        opts: List[Tuple] = [("erase", i)
+                             for i in range(len(self._visible(pending)))]
         for j in range(min(len(self.spied_terms), self.max_inject_terms)):
             for receiver in sorted(self.masks):
                 opts.append(("inject", j, receiver))
         return opts
 
-    def scripted_action(self, pending, seen):
-        opts = self.options(pending, seen)
+    def propose(self, pending, earlier):
+        """The next scripted move; the attack-function machinery (rival
+        takedowns, deferrals, hesitation) does not apply."""
+        opts = self.options(pending)
         if self.cursor >= len(self.choices):
             # accumulate every option that becomes available once the
             # script has run out: each is a candidate next move
@@ -88,9 +91,8 @@ class ScriptedAttacker(AttackerAgent):
             return None  # hold until the scripted move becomes possible
         self.cursor += 1
         if choice[0] == "erase":
-            visible = [seq for seq in sorted(pending)
-                       if seq in seen and not pending[seq].injected]
-            return Erase(actor=self.name, target_seq=visible[choice[1]],
+            return Erase(actor=self.name,
+                         target_seq=self._visible(pending)[choice[1]],
                          rank=1, own_step=True)
         _, j, receiver = choice
         term = self.spied_terms[j]
@@ -101,13 +103,6 @@ class ScriptedAttacker(AttackerAgent):
         return Inject(actor=self.name, claimed=self.masks[receiver],
                       body=term, receiver=receiver,
                       slot=Slot(self.session_of[key], 1), rank=1)
-
-    # the scripted attacker replaces the attack-function machinery
-    def rival_target(self, pending, seen):
-        return None
-
-    def own_step_action(self, pending, seen, rivals_seeing):
-        return self.scripted_action(pending, seen)
 
 
 def _run_with_choices(case, kind: str, choices: Sequence[Tuple],

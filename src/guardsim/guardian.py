@@ -399,6 +399,14 @@ class Guardian:
         return {item.target_seq for item in self.pending
                 if isinstance(item, Erase)}
 
+    def quiescent(self) -> Optional[ResilientSignal]:
+        """The deferred abort, handed out once and only when the plan
+        queue is empty; asked for when nobody else has anything to do."""
+        if self.pending:
+            return None
+        signal, self.deferred_abort = self.deferred_abort, None
+        return signal
+
     def committed(self, action: GuardianAction,
                   seq: Optional[int] = None) -> None:
         """The simulator applied `action`, which this guardian proposed;

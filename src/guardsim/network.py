@@ -45,13 +45,9 @@ class Envelope:
     injected: bool = False
     resilient: bool = False
     # runtime bookkeeping
-    notified: bool = False
     observers: List[str] = field(default_factory=list)
     sender_credits: Set[str] = field(default_factory=set)
     capture_credits: Set[str] = field(default_factory=set)
-    hesitated_by: Set[str] = field(default_factory=set)
-    deferred_by: Dict[str, int] = field(default_factory=dict)
-    erased_by: Optional[str] = None
 
 
 # -- actions ---------------------------------------------------------------
@@ -96,9 +92,6 @@ class ResilientSignal:
     flag: str = "abort"
     label: str = ""
     style: str = "abort"     # "abort": "X aborts" | "raise": flag text
-
-
-Action = object  # union of the five dataclasses above
 
 
 class DeadlockError(Exception):

@@ -146,6 +146,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("a scenario must be a JSON object")
         known = {"protocol", "topology", "guardian", "attack", "seed",
                  "nonce_bits", "max_steps"}
         unknown = set(data) - known
@@ -153,6 +155,18 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
         if "protocol" not in data:
             raise ConfigError("scenario needs a protocol")
+        for name in ("seed", "nonce_bits", "max_steps"):
+            # bool is an int subclass, but `true` is no count
+            value = data.get(name, 0)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(data.get("guardian", True), bool):
+            raise ConfigError("guardian must be true or false")
+        for name in ("topology", "attack"):
+            value = data.get(name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string or null, "
+                                  f"not {value!r}")
         return cls(**data)
 
     @classmethod
@@ -290,10 +304,13 @@ def _parse_pattern(spec, constants):
     raise ConfigError(f"bad pattern {spec!r}")
 
 
-def _parse_script(name, steps, constants):
+def _parse_script(name, steps, constants, agents):
     parsed = []
     for step in steps:
         if "send" in step:
+            if not isinstance(step["to"], str) or step["to"] not in agents:
+                raise ConfigError(f"{name} sends to {step['to']!r}, "
+                                  f"which names no agent")
             parsed.append(SendStep(receiver=step["to"],
                                    body=_parse_template(step["send"], constants),
                                    msg=step["msg"]))
@@ -315,20 +332,26 @@ def _wire_inline(config: ScenarioConfig):
             constants[cname] = SymKey(value=cdef["symkey"], label=cname)
         else:
             raise ConfigError(f"bad constant {cname!r}")
+    roles = inline["agents"]
+    if not isinstance(roles, dict) or len(roles) < 2:
+        raise ConfigError("an inline protocol needs an object of at least "
+                          "two agents")
     agents = {}
     initiators = []
-    for name, role in inline["agents"].items():
+    for name, role in roles.items():
         responders = [
-            _parse_script(f"{name}-resp-{i}", steps, constants)
+            _parse_script(f"{name}-resp-{i}", steps, constants, roles)
             for i, steps in enumerate(role.get("responder", []))]
         agents[name] = HonestAgent(name, responder_scripts=responders)
         if "initiator" in role:
-            script = _parse_script(f"{name}-init", role["initiator"], constants)
+            script = _parse_script(f"{name}-init", role["initiator"],
+                                   constants, roles)
             initiators.append((name, script, len(initiators) + 1))
     names = sorted(agents)
-    topo = base_topology(config.topology or "A",
-                         honest=tuple(names) if len(names) > 2 else (names[0], names[1]),
+    victim = inline.get("victim", names[0])
+    if victim not in names:
+        raise ConfigError(f"victim {victim!r} names no agent")
+    topo = base_topology(config.topology or "A", honest=tuple(names),
                          attackers=(), guardian=None)
     return Wiring(topology=topo, honest=list(agents.values()), attackers=[],
-                  guardian=None, initiators=initiators,
-                  victim=inline.get("victim", names[0]))
+                  guardian=None, initiators=initiators, victim=victim)

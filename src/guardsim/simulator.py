@@ -10,8 +10,17 @@ rival, and an envelope is delivered once nobody dishonest wants it.
 
 The guardian's interference plan stays inside the Guardian: the loop
 asks it for its next action (`Guardian.propose`), holds back the
-envelopes it means to capture (`Guardian.captures`) and tells it which
-action was applied (`Guardian.committed`).
+envelopes it means to capture (`Guardian.captures`), tells it which
+action was applied (`Guardian.committed`) and, once nobody else has
+anything to do, asks for its deferred abort (`Guardian.quiescent`).
+
+Each attacker's spy filters, attack-function steps and reactions to
+rivals stay inside the AttackerAgent: the loop lets it spy new envelopes
+on its stretch (`watch`), asks for its action given the rivals placed
+before it (`propose`, which keeps a deferral or hesitation to itself)
+and reports what became of it (`took`, `took_deferred`, `injected`,
+`note_slot_filled`).  Ranking, merging identical erases and rolling back
+the losers stay here.
 
 The loop is strictly single-threaded and owns its agents; identical
 (scenario, seed) pairs produce bit-identical traces.  Run independent
@@ -22,10 +31,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .agents import (AttackerAgent, EraseStep, FreshMint, HonestAgent,
-                     RoleScript, match)
+from .agents import AttackerAgent, FreshMint, HonestAgent, RoleScript
 from .guardian import Guardian
 from .network import (DeadlockError, Deliver, Envelope, Erase, Inject,
                       NetworkState, ResilientSignal, Send, watchers)
@@ -48,19 +56,20 @@ class SimResult:
     aborted_by_guardian: bool
 
 
+AttackerProposal = Tuple[AttackerAgent, Union[Erase, Inject]]
+
+
 class Simulator:
     def __init__(self, topology: Topology,
                  honest: Sequence[HonestAgent],
                  attackers: Sequence[AttackerAgent] = (),
                  guardian: Optional[Guardian] = None,
                  seed: int = 0, nonce_bits: int = 64,
-                 max_rounds: int = 256,
-                 stop_on_abort: bool = True):
+                 max_rounds: int = 256):
         self.topology = topology
         self.honest = {a.name: a for a in honest}
         self.attackers = list(attackers)
-        for i, att in enumerate(self.attackers):
-            att.ordinal = i
+        self._attacker = {a.name: a for a in self.attackers}
         self.guardian = guardian
         self.rng = random.Random(seed)
         self.mint = FreshMint(self.rng)
@@ -68,11 +77,11 @@ class Simulator:
             guardian.rng = random.Random(self.rng.getrandbits(32))
         self.nonce_bits = nonce_bits
         self.max_rounds = max_rounds
-        self.stop_on_abort = stop_on_abort
         self.net = NetworkState(topology)
         self.trace = Trace(self.net.history)
         self.rounds = 0
         self.aborted = False
+        self._notified = 0   # highest seq announced to the observers
 
     # -- wiring helpers --
 
@@ -83,72 +92,32 @@ class Simulator:
     # -- notify / spy phase --
 
     def _notify(self) -> None:
-        for seq in sorted(self.net.pending):
-            env = self.net.pending[seq]
-            if env.notified:
-                continue
-            env.notified = True
+        # seqs are handed out in order, at most one envelope enters per
+        # round and none leaves before the next notify: the new ones are
+        # exactly the seqs past the mark
+        while self._notified + 1 in self.net.pending:
+            self._notified += 1
+            env = self.net.pending[self._notified]
             for who in watchers(self.topology, env):
-                att = self._attacker(who)
+                att = self._attacker.get(who)
                 if att is not None:
-                    # filters go by perceived identities: masquerades fool
-                    # rival interceptors too
-                    spied = False
-                    if "inflow" in att.filters and env.receiver in att.interest:
-                        att.spy(env, "inflow")
-                        spied = True
-                    if "outflow" in att.filters and env.claimed_sender in att.interest:
-                        att.spy(env, "outflow")
-                        spied = True
-                    if spied:
-                        att.seen.add(env.seq)
+                    if att.watch(env):
                         env.observers.append(who)
                 elif self.guardian is not None and who == self.guardian.name:
                     if self.guardian.matching_filters(env):
                         env.observers.append(who)
                         self.guardian.process(env)
-            # the injector always knows his own envelope
-            if env.injected:
-                att = self._attacker(env.true_sender)
-                if att is not None:
-                    att.seen.add(env.seq)
-
-    def _attacker(self, name: str) -> Optional[AttackerAgent]:
-        for a in self.attackers:
-            if a.name == name:
-                return a
-        return None
 
     # -- poll phase --
 
-    def _earlier_rivals_seeing(self, me: AttackerAgent):
-        def fn(env: Envelope) -> Set[str]:
-            out = set()
-            for other in self.attackers:
-                if other.ordinal < me.ordinal and env.seq in other.seen:
-                    out.add(other.name)
-            return out
-        return fn
-
     def _poll(self):
-        attacker_props: List[Tuple[int, int, AttackerAgent, object]] = []
-        for att in self.attackers:
-            if att.withdrawn or att.holding(self.net.pending):
-                continue
-            rival_env = att.rival_target(self.net.pending, att.seen)
-            if rival_env is not None:
-                prop = Erase(actor=att.name, target_seq=rival_env.seq, rank=0)
-                attacker_props.append((prop.rank, att.ordinal, att, prop))
-                continue
-            action = att.own_step_action(self.net.pending, att.seen,
-                                         self._earlier_rivals_seeing(att))
-            if action is None:
-                continue
-            if isinstance(action, tuple) and action[0] == "defer":
-                action[1].deferred_by[att.name] = att.step_ptr
-                continue
-            attacker_props.append((action.rank, att.ordinal, att, action))
-        attacker_props.sort(key=lambda t: (t[0], t[1]))
+        attacker_props: List[AttackerProposal] = []
+        for i, att in enumerate(self.attackers):
+            prop = att.propose(self.net.pending, self.attackers[:i])
+            if prop is not None:
+                attacker_props.append((att, prop))
+        # stable: equal ranks keep the placement order
+        attacker_props.sort(key=lambda ap: ap[1].rank)
 
         honest_props: List[Tuple[str, Send]] = []
         for name in sorted(self.honest):
@@ -158,21 +127,18 @@ class Simulator:
 
         g = self.guardian
         guardian_prop = None
-        erase_targets = {p.target_seq for _, _, _, p in attacker_props
+        erase_targets = {p.target_seq for _, p in attacker_props
                          if isinstance(p, Erase)}
         if g is not None:
             # propose first: it drops the captures that went stale
             guardian_prop = g.propose(self.net.pending, self.nonce_bits)
             erase_targets |= g.captures()
         deliveries = [seq for seq in sorted(self.net.pending)
-                      if self.net.pending[seq].notified
-                      and seq not in erase_targets]
+                      if seq not in erase_targets]
 
-        # a deferred abort fires only at quiescence
-        if (guardian_prop is None and g is not None and not g.pending
-                and g.deferred_abort is not None
-                and not attacker_props and not honest_props and not deliveries):
-            guardian_prop, g.deferred_abort = g.deferred_abort, None
+        if (guardian_prop is None and g is not None and not attacker_props
+                and not honest_props and not deliveries):
+            guardian_prop = g.quiescent()
         return attacker_props, guardian_prop, honest_props, deliveries
 
     # -- select & apply --
@@ -192,46 +158,30 @@ class Simulator:
                        true_sender=prop.actor, slot=prop.slot, injected=True)
         self.net.enter(env, "inject")
         if att is not None:
-            att.consume_step()
-            att.engaged = True
+            att.injected()
         return env
 
-    def _consume_erase_step(self, att: AttackerAgent, env: Envelope) -> None:
-        step = att.current_step()
-        if isinstance(step, EraseStep):
-            got = match(step.pattern, env.body, att.bindings)
-            if got is not None:
-                att.bindings = got
-            if step.bind:
-                att.bindings[step.bind] = env.body
-            att.consume_step()
-
     def _apply_erase(self, actor_att: Optional[AttackerAgent], prop: Erase,
-                     all_attacker_props) -> None:
+                     attacker_props: Sequence[AttackerProposal]) -> None:
         rollbacks = []
         env = self.net.pending[prop.target_seq]
-        env.erased_by = prop.actor
         if actor_att is not None and prop.own_step:
-            self._consume_erase_step(actor_att, env)
+            actor_att.took(env)
         # merge credit: same-round identical own-step erases of equal rank
-        for rank, _, other, other_prop in all_attacker_props:
+        for other, other_prop in attacker_props:
             if other is actor_att or not isinstance(other_prop, Erase):
                 continue
             if other_prop.target_seq != prop.target_seq:
                 continue
             if other_prop.own_step and other_prop.rank == prop.rank:
                 env.capture_credits.add(other.name)
-                self._consume_erase_step(other, env)
+                other.took(env)
             else:
                 rollbacks.append(other.name)
         # vigilant deferrers consume vicariously and share credit
-        for name, at_step in env.deferred_by.items():
-            other = self._attacker(name)
-            if other is None or other.step_ptr != at_step:
-                continue
-            if isinstance(other.current_step(), EraseStep):
-                self._consume_erase_step(other, env)
-                env.capture_credits.add(name)
+        for other in self.attackers:
+            if other.took_deferred(env):
+                env.capture_credits.add(other.name)
         self.net.remove(prop.target_seq)
         self.trace.add_message(env, delivered=False,
                                rollbacks=tuple(rollbacks), cause=prop)
@@ -242,14 +192,10 @@ class Simulator:
         receiver = self.honest.get(env.receiver)
         if receiver is not None:
             receiver.deliver(env)
-        else:
-            att = self._attacker(env.receiver)
-            if att is not None:
-                att.receive(env)
-                att.seen.add(env.seq)
+        elif env.receiver in self._attacker:
+            self._attacker[env.receiver].receive(env)
         for att in self.attackers:
-            if env.seq in att.seen:
-                att.note_slot_filled(env)
+            att.note_slot_filled(env)
 
     def _apply_signal(self, prop: ResilientSignal) -> None:
         g = self.guardian
@@ -274,7 +220,7 @@ class Simulator:
         self._notify()
         attacker_props, guardian_prop, honest_props, deliveries = self._poll()
         if attacker_props:
-            _, _, att, prop = attacker_props[0]
+            att, prop = attacker_props[0]
             if isinstance(prop, Erase):
                 self._apply_erase(att, prop, attacker_props)
             else:
@@ -308,7 +254,7 @@ class Simulator:
                 chosen = self.step()
             except DeadlockError:
                 break  # quiescence
-            if isinstance(chosen, ResilientSignal) and self.stop_on_abort:
+            if isinstance(chosen, ResilientSignal):
                 break
         return SimResult(trace=self.trace, network=self.net,
                          honest=self.honest, attackers=self.attackers,

@@ -45,10 +45,6 @@ class Topology:
                 for who in group:
                     self._home.setdefault(who, []).append((edge, idx))
 
-    @property
-    def interceptors(self) -> Set[str]:
-        return set(self._home)
-
     def edge_between(self, a: str, b: str) -> Optional[Tuple[str, str]]:
         e = _edge(a, b)
         return e if e in self.stations else None

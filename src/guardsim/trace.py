@@ -64,7 +64,7 @@ class TraceStep:
                 sender += f"({env.claimed_sender})"
         receiver = env.receiver
         if self.event.kind == "erase":
-            takers = merge_ids({env.erased_by} | env.capture_credits)
+            takers = merge_ids({cause.actor} | env.capture_credits)
             receiver = f"{takers}({receiver})"
         return (label, sender, receiver, render(env.body))
 

@@ -38,7 +38,7 @@ def test_inflow_spy_reveals_masquerading_rival():
     e.spy(env, "inflow")
     assert AgentId("E_2") in e.knowledge
     assert e.awareness["E_2"] == "dishonest"
-    assert "E" in env.hesitated_by
+    assert env.seq in e.hesitations
 
 
 def test_outflow_spy_records_body_and_receiver():

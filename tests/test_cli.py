@@ -39,6 +39,21 @@ def test_bad_scenario_config_exit(tmp_path):
     json.dumps({"protocol": {"agents": {"A": {"initiator": [{"send": {
         "ref": "x"}}]}}}}),
     "{not json",
+    "[1, 2]",
+    json.dumps({"protocol": "iso-sc-27", "seed": "x"}),
+    json.dumps({"protocol": "iso-sc-27", "seed": True}),
+    json.dumps({"protocol": "iso-sc-27", "nonce_bits": "64"}),
+    json.dumps({"protocol": "iso-sc-27", "max_steps": "9"}),
+    json.dumps({"protocol": "iso-sc-27", "guardian": "yes"}),
+    json.dumps({"protocol": "iso-sc-27", "topology": 5}),
+    json.dumps({"protocol": "iso-sc-27", "attack": 5}),
+    json.dumps({"protocol": {"agents": {"A": {}}}}),
+    json.dumps({"protocol": {"agents": []}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"fresh": "na"}, "to": "C", "msg": 1}]}, "B": {}}}}),
+    json.dumps({"protocol": {"agents": {"A": {}, "B": {}}, "victim": "Z"}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"fresh": "na"}, "to": "B"}]}, "B": {}}}}),
 ])
 def test_bad_scenario_input_exit(tmp_path, text):
     path = tmp_path / "bad.json"
