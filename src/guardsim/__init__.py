@@ -15,7 +15,7 @@ from .simulator import Simulator
 from .terms import (AgentId, AsymEnc, AsymKey, Atom, CommEnc, Lifetime,
                     Nonce, Pair, Password, Succ, SymEnc, SymKey, Timestamp,
                     comm_enc, inverse_key, pair, render, succ, wire_eq)
-from .topology import Topology, base_topology, shared_channel_topology
+from .topology import Topology, base_topology
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

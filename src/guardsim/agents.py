@@ -750,7 +750,7 @@ class AttackerAgent:
         self.engaged = True
 
     def _render_body(self, step: InjectStep) -> Term:
-        return instantiate(step.body, self.bindings, _NullMint(), self.name, 64)
+        return instantiate(step.body, self.bindings, NullMint(), self.name, 64)
 
     def attack_step(self, spied: Term, s: int):
         """The attack function at step s applied to a spied message:
@@ -764,13 +764,16 @@ class AttackerAgent:
             return ("Erase", None)
         if isinstance(step, InjectStep):
             body = instantiate(step.body, dict(self.bindings, m=spied),
-                               _NullMint(), self.name, 64)
+                               NullMint(), self.name, 64)
             return ("Injection", body)
         return None
 
 
-class _NullMint:
-    """Attack templates never mint fresh honest values."""
+class NullMint:
+    """Attack and guardian templates never mint fresh protocol values:
+    their values come from bindings (a guardian's from FakeSpec), so
+    this mint exists only to fail loudly."""
 
     def mint(self, spec, agent, nonce_bits):
-        raise ValueError("attack functions cannot mint fresh protocol values")
+        raise ValueError("only honest roles mint fresh protocol values; "
+                         "attack and guardian templates use bindings")

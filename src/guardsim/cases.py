@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 
 from .agents import HonestAgent
 from .simulator import Simulator
-from .topology import ConfigError, shared_channel_topology
+from .topology import ConfigError, base_topology
 from .trace import Trace
 
 DOMINANCE = "dominance"
@@ -96,7 +96,8 @@ def run_case(case: int, protocol: str = "iso-sc-27", seed: int = 0) -> CaseResul
                        awareness={"E_2": a1} if a1 else {}, slots=s1)
     e2 = make_attacker("E_2", variant=v2,
                        awareness={"E_1": a2} if a2 else {}, slots=s2)
-    topo = shared_channel_topology(("A", "B"), ("E_1", "E_2"))
+    topo = base_topology("A", honest=("A", "B"), attackers=("E_1", "E_2"),
+                         guardian=None)
     a = HonestAgent("A", responder_scripts=[responder_script("B")])
     b = HonestAgent("B", responder_scripts=[responder_script("A")])
     sim = Simulator(topo, honest=[a, b], attackers=[e1, e2], seed=seed)

@@ -109,10 +109,9 @@ def _run_with_choices(case, kind: str, choices: Sequence[Tuple],
                       seed: int, max_visible: int):
     wiring = case.wire(kind=kind, guardian=True,
                        attack=case.attack_names[0], seed=seed)
-    masks = _masks_for(case)
     scripted = ScriptedAttacker(
         name="E", interest=list(wiring.attackers[0].interest),
-        masks=masks, choices=choices,
+        masks=case.masks, choices=choices,
         knowledge=KnowledgeSet(list(wiring.attackers[0].knowledge.items)))
     wiring.attackers = [scripted]
     sim = wiring.simulator(seed=seed, max_rounds=max(10 * max_visible, 80))
@@ -121,12 +120,6 @@ def _run_with_choices(case, kind: str, choices: Sequence[Tuple],
     except BudgetExceeded:
         return None, scripted, wiring.victim
     return result, scripted, wiring.victim
-
-
-def _masks_for(case) -> Dict[str, str]:
-    if case.name == "otway-rees":
-        return {"A": "B", "B": "S"}
-    return {case.defended_agent: "B" if case.defended_agent == "A" else "A"}
 
 
 def enumerate_attacks(case, kind: str, max_choices: int = 8,

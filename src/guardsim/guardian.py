@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import (Callable, Collection, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
-from .agents import (AttackFunction, EraseStep, InjectStep, ObserveStep,
-                     instantiate, match, TRef)
+from .agents import (AttackFunction, EraseStep, InjectStep, NullMint,
+                     ObserveStep, instantiate, match, TRef)
 from .network import Envelope, Erase, Inject, ResilientSignal, Slot
 from .terms import (Atom, Nonce, Term, render, wire_eq, wire_view,
                     subterms, SymEnc, AsymEnc, CommEnc)
@@ -239,14 +239,6 @@ class ModuleLogRow:
         return self.store.p_terms_at(self.revision)
 
 
-class _GuardianMint:
-    """Fresh values inside guardian fake templates come from FakeSpec
-    bindings, never TFresh; this mint exists only to fail loudly."""
-
-    def mint(self, spec, agent, nonce_bits):
-        raise ValueError("guardian templates use FakeSpec bindings, not TFresh")
-
-
 @dataclass
 class InjectFake:
     """A queued fake or forward.  Its body, with any fake values in it,
@@ -267,7 +259,7 @@ class InjectFake:
                 if spec.binding not in bindings:
                     bindings[spec.binding] = guardian.mint_fake(spec)
             body = (bindings[self.fakes[0].binding] if self.template is None
-                    else instantiate(self.template, bindings, _GuardianMint(),
+                    else instantiate(self.template, bindings, NullMint(),
                                      guardian.name, nonce_bits))
             self.action = Inject(actor=guardian.name, claimed=self.mask,
                                  body=body, receiver=self.receiver,

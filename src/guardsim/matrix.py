@@ -13,6 +13,8 @@ from .scenario import evaluate
 from .simulator import BudgetExceeded
 from .topology import TOPOLOGY_KINDS, ConfigError
 
+DEFENSE_CLASSES = ("Total", "Partial", "None")      # best first
+
 
 @dataclass
 class Cell:
@@ -44,12 +46,16 @@ class MatrixReport:
         out = []
         for name, cells in by_protocol.items():
             case = builtin(name)
-            viable = [c.topology for c in cells
-                      if c.observed == case.defense_class
-                      and c.topology not in case.conditional_topologies]
+            counted = [c for c in cells
+                       if c.topology not in case.conditional_topologies]
+            # the row's class is the best one a counted cell observed
+            defense = min((c.observed for c in counted),
+                          key=DEFENSE_CLASSES.index, default="None")
+            viable = [c.topology for c in counted
+                      if defense != "None" and c.observed == defense]
             out.append({
                 "protocol": name,
-                "defense": case.defense_class,
+                "defense": defense,
                 "agent_defended": case.defended_agent,
                 "viable_topologies": viable,
                 "cells": {c.topology: c.observed for c in cells},
@@ -91,7 +97,7 @@ def evaluate_cell(case, kind: str, seed: int = 0) -> Cell:
     idm = is_defense_mechanism(
         wiring.topology, "G", case.defended_agent, case.monitored_slots,
         [a.name for a in wiring.attackers],
-        case.attack_function_of(case.attack_names[0]),
+        case.attacks[case.attack_names[0]].function(),
         case.inverse_table or None, case.inverse_samples or None)
 
     fn_by_attack: Dict[str, int] = {}

@@ -43,7 +43,6 @@ class Envelope:
     true_sender: str
     slot: Slot
     injected: bool = False
-    resilient: bool = False
     # runtime bookkeeping
     observers: List[str] = field(default_factory=list)
     sender_credits: Set[str] = field(default_factory=set)
@@ -160,10 +159,8 @@ def watchers(topology: Topology, env: Envelope) -> List[str]:
     Wire traffic is seen on the stretch it actually travels: the whole
     channel for a send; for an injection, the stretch from the injector's
     station to the receiver, co-located rivals included and the injector
-    left out.  A resilient-link envelope, or one the topology gives no
-    path, is seen by nobody."""
-    if env.resilient:
-        return []
+    left out.  An envelope the topology gives no path is seen by
+    nobody; resilient signals are no envelopes and travel unseen."""
     try:
         if env.injected:
             return topology.observers_for_injection(env.true_sender,

@@ -15,19 +15,19 @@ partial.
 
 from __future__ import annotations
 
-from ..agents import (AttackerAgent, AttackFunction, EraseStep, ExpectStep,
-                      HonestAgent, InjectStep, ObserveStep, PBind, PConst,
-                      PRef, PSucc, PSymEnc, RoleScript, SendStep, TConst,
-                      TFresh, TRef, TSucc, TSymEnc, plist, tlist)
+from functools import partial
+
+from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep,
+                      ObserveStep, PBind, PConst, PRef, PSucc, PSymEnc,
+                      RoleScript, SendStep, TConst, TFresh, TRef, TSucc,
+                      TSymEnc, plist, tlist)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, Modify,
                         RaiseAbortFlag)
-from ..knowledge import KnowledgeSet
 from ..network import Slot
 from ..terms import AgentId, Nonce, Pair, Succ, SymEnc, SymKey, Term
-from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring, checked_attack
+from .base import Attack, CaseStudy
 
 KEY_AB = SymKey(value=3001, label="K_AB")
 
@@ -121,53 +121,26 @@ def make_guardian() -> Guardian:
                     invariant=InvariantSpec("replay-equality"), plan=plan)
 
 
-def wire(kind=None, guardian=True, attack="classic", seed=0,
-         nonce_bits=64) -> Wiring:
-    kind = kind or "A"
-    attack = checked_attack(attack, CASE)
-    g = make_guardian() if guardian else None
-    attackers = []
-    if attack == "classic":
-        fn = classic_attack()
-        seed_terms = []
-    elif attack == "old-replay":
-        fn = old_message_attack(old_round_ciphertext())
-        seed_terms = [old_round_ciphertext()]
-    if attack:
-        ks = KnowledgeSet([AgentId("A"), AgentId("B"), *seed_terms])
-        attackers = [AttackerAgent("E", interest=["A"], function=fn,
-                                   variant="proceed", knowledge=ks)]
-    topo = base_topology(kind, honest=("A", "B"), attackers=("E",),
-                         guardian="G" if guardian else None)
-    a = HonestAgent("A")
-    b = HonestAgent("B", responder_scripts=[responder_script("A")])
-    return Wiring(topology=topo, honest=[a, b], attackers=attackers,
-                  guardian=g,
-                  initiators=[("A", initiator_script("B"), 1)], victim="A")
-
-
 CASE = register(CaseStudy(
     name="andrew-rpc",
     defended_agent="A",
     defense_class="Partial",
     viable_topologies=("A",),
-    failure_topologies=("B",),
-    two_agent=True,
-    attack_names=("classic", "old-replay"),
-    fp_conditions=(
-        "a rerun reusing both old nonces reproduces message (2) verbatim",
-        "a fresh message (4) whose key collides with N_A+1 and whose nonce "
-        "repeats N_B",
-    ),
+    roles={"A": (), "B": (partial(responder_script, "A"),)},
+    initiator=initiator_script,
+    attacks={
+        "classic": Attack(classic_attack),
+        "old-replay": Attack(
+            partial(old_message_attack, old_round_ciphertext()),
+            knowledge=(old_round_ciphertext(),), registered=False),
+    },
+    make_guardian=lambda topology: make_guardian(),
+    attacker_interest=("A",),
+    attacker_knowledge=(AgentId("A"), AgentId("B")),
     fn_conditions=(
         "a replay of a message (4) from before the guardian's dataset "
         "existed passes the invariant once",
     ),
     message_count=4,
-    wire=wire,
-    attack_function_of=lambda name: (classic_attack() if name == "classic"
-                                     else old_message_attack(
-                                         old_round_ciphertext())),
     monitored_slots=(("A", "B"),),
-    registered=("classic",),
 ))

@@ -1,15 +1,18 @@
-"""Shared shape of a case study: a protocol, its attack functions, the
-guardian configuration per topology, and the documented expectations."""
+"""Shared shape of a case study: a protocol's roles and attacks as data,
+the guardian configuration per topology, the documented expectations,
+and the one wiring path that assembles a run from them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..agents import AttackerAgent, HonestAgent
+from ..agents import AttackerAgent, AttackFunction, HonestAgent, RoleScript
 from ..guardian import Guardian
+from ..knowledge import KnowledgeSet
 from ..simulator import Simulator
-from ..topology import ConfigError, Topology
+from ..terms import Term
+from ..topology import ConfigError, Topology, base_topology
 
 
 @dataclass
@@ -33,61 +36,103 @@ class Wiring:
         return sim
 
 
-def checked_attack(attack: Optional[str], case: "CaseStudy",
-                   classic: Optional[str] = None) -> Optional[str]:
-    """The attack a builtin `wire` runs, checked against the study's
-    `attack_names`: None or "" runs honestly, and "classic" means
-    `classic` for a study whose attacks have other names.  Any other
-    unknown name is a ConfigError."""
-    if attack == "classic" and classic:
-        attack = classic
-    if attack and attack not in case.attack_names:
-        raise ConfigError(f"unknown attack {attack!r} for {case.name}; "
-                          f"known: {list(case.attack_names)}")
-    return attack
+@dataclass(frozen=True)
+class Attack:
+    """One attack of a study: its attack-function factory, the terms the
+    attacker knows beyond the study's base knowledge, whether the
+    registered defense was built for it (variants outside it, such as
+    pre-guardian replays, are the documented partial gaps), and whether
+    A runs the protocol alongside it."""
+    function: Callable[[], AttackFunction]
+    knowledge: Tuple[Term, ...] = ()
+    registered: bool = True
+    honest_run: bool = True
 
 
 @dataclass
 class CaseStudy:
     """A built-in protocol with its documented defense profile.
 
-    `wire(kind, guardian, attack, seed, nonce_bits)` assembles a run:
-    kind None uses the study's home topology; attack None runs honestly.
+    `wire(kind, guardian, attack, seed, nonce_bits, **guardian_kw)`
+    assembles a run: kind None uses the study's home topology; attack
+    None runs honestly, and "classic" names the first attack of a study
+    whose attacks have other names.  Honest agents are built from
+    `roles`, in order; A starts `initiator` toward B as session 1; the
+    attacker E watches `attacker_interest`, knows `attacker_knowledge`
+    and the chosen attack's own terms; `make_guardian(topology,
+    **guardian_kw)` builds the guardian for the layout in use.
     """
     name: str
     defended_agent: str
     defense_class: str                       # "Total" | "Partial"
     viable_topologies: Tuple[str, ...]
-    failure_topologies: Tuple[str, ...] = ()
+    roles: Dict[str, Tuple[Callable[[], RoleScript], ...]]
+    initiator: Callable[[str], RoleScript]
+    attacks: Dict[str, Attack]
+    make_guardian: Callable[..., Guardian]
+    attacker_interest: Tuple[str, ...]
+    attacker_knowledge: Tuple[Term, ...] = ()
     conditional_topologies: Dict[str, str] = field(default_factory=dict)
-    two_agent: bool = True
-    attack_names: Tuple[str, ...] = ("classic",)
-    fp_conditions: Tuple[str, ...] = ()
     fn_conditions: Tuple[str, ...] = ()
-    # parameter-dependent edge cases (window sizing, value collisions)
-    # documented and testable but not counted against the defense class
-    boundary_fn_notes: Tuple[str, ...] = ()
     message_count: int = 0
-    wire: Callable[..., Wiring] = None
-    attack_function_of: Callable[[str], object] = None
     monitored_slots: Tuple[Tuple[str, str], ...] = ()
+    # receiver -> the identity the enumerated attacker claims toward it
+    masks: Dict[str, str] = field(default_factory=lambda: {"A": "B"})
     success_extra: Optional[Callable] = None  # extra deception predicate
     inverse_table: Dict[int, Callable] = field(default_factory=dict)
     inverse_samples: Dict[int, Tuple] = field(default_factory=dict)
-    # attacks the registered defense was built for; variants outside it
-    # (e.g. pre-guardian replays) are the documented partial gaps
-    registered: Optional[Tuple[str, ...]] = None
     # reproduces the documented partial-defense gap in a viable topology
     matrix_fn_witness: Optional[Callable] = None
 
+    def __post_init__(self):
+        # an instance attribute, so that each study's `wire` is one object
+        # that a module can re-export and a tracer can rebind
+        self.wire = self._wire
+
+    @property
+    def attack_names(self) -> Tuple[str, ...]:
+        return tuple(self.attacks)
+
     @property
     def registered_attacks(self) -> Tuple[str, ...]:
-        return self.registered if self.registered is not None \
-            else self.attack_names
+        return tuple(n for n, a in self.attacks.items() if a.registered)
 
     @property
     def home_topology(self) -> str:
         return self.viable_topologies[0]
 
     def applicable_kinds(self) -> Tuple[str, ...]:
-        return ("A", "B") if self.two_agent else ("C", "D", "E", "F")
+        return ("A", "B") if len(self.roles) == 2 else ("C", "D", "E", "F")
+
+    def _attack(self, name: Optional[str]) -> Optional[Attack]:
+        if not name:
+            return None
+        if name == "classic" and name not in self.attacks:
+            return next(iter(self.attacks.values()))
+        if name not in self.attacks:
+            raise ConfigError(f"unknown attack {name!r} for {self.name}; "
+                              f"known: {list(self.attacks)}")
+        return self.attacks[name]
+
+    def _wire(self, kind: Optional[str] = None, guardian: bool = True,
+              attack: Optional[str] = "classic", seed: int = 0,
+              nonce_bits: int = 64, **guardian_kw) -> Wiring:
+        chosen = self._attack(attack)
+        attackers = []
+        if chosen is not None:
+            ks = KnowledgeSet([*self.attacker_knowledge, *chosen.knowledge])
+            attackers = [AttackerAgent("E", interest=self.attacker_interest,
+                                       function=chosen.function(),
+                                       variant="proceed", knowledge=ks)]
+        topo = base_topology(kind or self.home_topology,
+                             honest=tuple(self.roles), attackers=("E",),
+                             guardian="G" if guardian else None)
+        honest = [HonestAgent(name, responder_scripts=[r() for r in roles])
+                  for name, roles in self.roles.items()]
+        initiators = []
+        if chosen is None or chosen.honest_run:
+            initiators.append(("A", self.initiator("B"), 1))
+        return Wiring(topology=topo, honest=honest, attackers=attackers,
+                      guardian=(self.make_guardian(topo, **guardian_kw)
+                                if guardian else None),
+                      initiators=initiators, victim=self.defended_agent)

@@ -15,18 +15,16 @@ A's side.
 
 from __future__ import annotations
 
-from ..agents import (AttackerAgent, AttackFunction, EraseStep, ExpectStep,
-                      HonestAgent, InjectStep, PBind, PConst, PPair,
-                      PSymEnc, RoleScript, SendStep, TConst, TFresh,
-                      TKeyLookup, TRef, TSymEnc, plist, tlist)
+from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep, PBind,
+                      PConst, PPair, PSymEnc, RoleScript, SendStep, TConst,
+                      TFresh, TKeyLookup, TRef, TSymEnc, plist, tlist)
 from ..guardian import (Distinguisher, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, StopMessage)
-from ..knowledge import KnowledgeSet
 from ..network import Slot
 from ..terms import AgentId, Pair, SymEnc, SymKey
-from ..topology import base_topology
+from ..topology import Topology
 from . import register
-from .base import CaseStudy, Wiring, checked_attack
+from .base import Attack, CaseStudy
 
 KEY_AS = SymKey(value=7001, label="K_AS")
 KEY_BS = SymKey(value=7002, label="K_BS")
@@ -121,11 +119,7 @@ def attack_trace_4() -> AttackFunction:
     ))
 
 
-ATTACKS = {"trace-1": attack_trace_1, "trace-2": attack_trace_2,
-           "trace-3": attack_trace_3, "trace-4": attack_trace_4}
-
-
-def make_guardian(window: int = 16) -> Guardian:
+def make_guardian(topology: Topology, window: int = 16) -> Guardian:
     ident = Distinguisher("bme-id", rules=(
         PBind("x", "symenc"),
         plist(PBind("a", "agent"), PBind("b", "agent")),
@@ -133,15 +127,20 @@ def make_guardian(window: int = 16) -> Guardian:
     ))
     crit = Distinguisher("bme-crit", rules=(PBind("x", "symenc"),))
     plan = InterferencePlan(responses=(StopMessage(),))
-    return Guardian(name="G",
-                    filters=(GuardianFilter("inflow", "S", control=False),
-                             GuardianFilter("outflow", "S", control=False),
-                             GuardianFilter("inflow", "B", control=True)),
-                    ident=ident, crit=crit,
-                    invariant=InvariantSpec(
-                        "windowed-freshness",
-                        params={"source": ("outflow", "S")}),
-                    plan=plan, window=window)
+    g = Guardian(name="G",
+                 filters=(GuardianFilter("inflow", "S", control=False),
+                          GuardianFilter("outflow", "S", control=False),
+                          GuardianFilter("inflow", "B", control=True)),
+                 ident=ident, crit=crit,
+                 invariant=InvariantSpec(
+                     "windowed-freshness",
+                     params={"source": ("outflow", "S")}),
+                 plan=plan, window=window)
+    # freshness is judged against the server's replies toward A; the
+    # guardian must hold the first tap on that leg, or an interceptor
+    # nearer the server leaves him unable to tell fresh from stale
+    g.invariant_operative = topology.sees_first("G", "S", "A")
+    return g
 
 
 def key_planted(result) -> bool:
@@ -160,42 +159,12 @@ def key_planted(result) -> bool:
     return False
 
 
-def wire(kind=None, guardian=True, attack="trace-1", seed=0,
-         nonce_bits=64, window: int = 16) -> Wiring:
-    kind = kind or "D"
-    attack = checked_attack(attack, CASE, classic="trace-1")
-    g = make_guardian(window=window) if guardian else None
-    attackers = []
-    if attack:
-        old_key, cta, ctb = old_tickets()
-        ks = KnowledgeSet([AgentId("A"), AgentId("B"), AgentId("S"),
-                           old_key, cta, ctb])
-        attackers = [AttackerAgent("E", interest=["A", "B", "S"],
-                                   function=ATTACKS[attack](),
-                                   variant="proceed", knowledge=ks)]
-    topo = base_topology(kind, honest=("A", "B", "S"), attackers=("E",),
-                         guardian="G" if guardian else None)
-    if g is not None:
-        # freshness is judged against the server's replies toward A; the
-        # guardian must hold the first tap on that leg, or an interceptor
-        # nearer the server leaves him unable to tell fresh from stale
-        g.invariant_operative = topo.sees_first("G", "S", "A")
-    a = HonestAgent("A")
-    b = HonestAgent("B", responder_scripts=[b_responder_script()])
-    s = HonestAgent("S", responder_scripts=[server_script()])
-    initiators = []
-    if attack not in ("trace-1", "trace-3"):
-        initiators.append(("A", initiator_script("B"), 1))
-    return Wiring(topology=topo, honest=[a, b, s], attackers=attackers,
-                  guardian=g, initiators=initiators, victim="B")
-
-
 def a_scope_gap(kind: str = "D", seed: int = 0) -> bool:
     """The documented partiality: the reply-swap variant deceives A even
     while B stays protected."""
     from ..scenario import evaluate
-    res = wire(kind=kind, guardian=True, attack="trace-2",
-               seed=seed).simulator(seed=seed).run()
+    res = CASE.wire(kind=kind, guardian=True, attack="trace-2",
+                    seed=seed).simulator(seed=seed).run()
     return evaluate(res, "A", True).false_negatives > 0
 
 
@@ -210,19 +179,23 @@ CASE = register(CaseStudy(
     defended_agent="B",
     defense_class="Partial",
     viable_topologies=("D",),
-    failure_topologies=("E", "F"),
+    roles={"A": (), "B": (b_responder_script,), "S": (server_script,)},
+    initiator=initiator_script,
+    attacks={"trace-1": Attack(attack_trace_1, honest_run=False),
+             "trace-2": Attack(attack_trace_2),
+             "trace-3": Attack(attack_trace_3, honest_run=False),
+             "trace-4": Attack(attack_trace_4)},
+    make_guardian=make_guardian,
+    attacker_interest=("A", "B", "S"),
+    attacker_knowledge=(AgentId("A"), AgentId("B"), AgentId("S"),
+                        *old_tickets()),
     conditional_topologies={"C": "defends A only for the reply-swap "
                                  "variants (traces 2 and 4)"},
-    two_agent=False,
-    attack_names=("trace-1", "trace-2", "trace-3", "trace-4"),
-    fp_conditions=("a benign ticket reaching B after the server's "
-                   "emission slid out of the window",),
     fn_conditions=("traces 2 and 4 deceive A undetected; the guardian "
                    "defends only B",),
     message_count=3,
-    wire=wire,
-    attack_function_of=lambda name: ATTACKS[name](),
     monitored_slots=(("A", "S"), ("A", "B")),
+    masks={"B": "A"},
     success_extra=key_planted,
     inverse_table={1: _identity, 2: _identity, 3: _identity},
     inverse_samples={1: (old_tickets()[2], old_tickets()[2])},

@@ -16,19 +16,19 @@ are allowed to finish before the abort flag goes up.
 
 from __future__ import annotations
 
-from ..agents import (AttackerAgent, AttackFunction, EraseStep, ExpectStep,
-                      HonestAgent, InjectStep, PAsymEnc, PBind, PConst,
-                      PPair, PRef, PSymEnc, RoleScript, SendStep, TAsymEnc,
-                      TConst, TDecryptPayload, TFresh, TRef, TSymEnc, tlist)
+from functools import partial
+
+from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep,
+                      PAsymEnc, PBind, PConst, PPair, PRef, PSymEnc,
+                      RoleScript, SendStep, TAsymEnc, TConst, TDecryptPayload,
+                      TFresh, TRef, TSymEnc, tlist)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, Modify,
                         RaiseAbortFlag)
-from ..knowledge import KnowledgeSet
 from ..network import Slot
 from ..terms import AgentId, Password
-from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring, checked_attack
+from .base import Attack, CaseStudy
 
 PASSWORD = Password(value=5001, label="P")
 
@@ -95,39 +95,18 @@ def make_guardian() -> Guardian:
                     invariant=InvariantSpec("replay-equality"), plan=plan)
 
 
-def wire(kind=None, guardian=True, attack="classic", seed=0,
-         nonce_bits=64) -> Wiring:
-    kind = kind or "A"
-    attack = checked_attack(attack, CASE)
-    g = make_guardian() if guardian else None
-    attackers = []
-    if attack:
-        ks = KnowledgeSet([AgentId("A"), AgentId("B")])
-        attackers = [AttackerAgent("E", interest=["A"],
-                                   function=classic_attack(),
-                                   variant="proceed", knowledge=ks)]
-    topo = base_topology(kind, honest=("A", "B"), attackers=("E",),
-                         guardian="G" if guardian else None)
-    a = HonestAgent("A", responder_scripts=[responder_script("B")])
-    b = HonestAgent("B", responder_scripts=[responder_script("A")])
-    return Wiring(topology=topo, honest=[a, b], attackers=attackers,
-                  guardian=g,
-                  initiators=[("A", initiator_script("B"), 1)], victim="A")
-
-
 CASE = register(CaseStudy(
     name="eke",
     defended_agent="A",
     defense_class="Total",
     viable_topologies=("A",),
-    failure_topologies=("B",),
-    two_agent=True,
-    attack_names=("classic",),
-    fp_conditions=("a benign challenge ciphertext colliding with one "
-                   "already recorded under the same session key",),
-    fn_conditions=(),
+    roles={"A": (partial(responder_script, "B"),),
+           "B": (partial(responder_script, "A"),)},
+    initiator=initiator_script,
+    attacks={"classic": Attack(classic_attack)},
+    make_guardian=lambda topology: make_guardian(),
+    attacker_interest=("A",),
+    attacker_knowledge=(AgentId("A"), AgentId("B")),
     message_count=5,
-    wire=wire,
-    attack_function_of=lambda name: classic_attack(),
     monitored_slots=(("A", "B"),),
 ))

@@ -14,19 +14,19 @@ A's flag is raised once both sessions have been played out.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..agents import (AttackerAgent, AttackFunction, EraseStep, ExpectStep,
-                      HonestAgent, InjectStep, PBind, PConst, PRef, PSymEnc,
-                      RoleScript, SendStep, TConst, TFresh, TRef, TSymEnc,
-                      plist, tlist)
+                      InjectStep, PBind, PConst, PRef, PSymEnc, RoleScript,
+                      SendStep, TConst, TFresh, TRef, TSymEnc, plist, tlist)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, Modify,
                         RaiseAbortFlag)
 from ..knowledge import KnowledgeSet
 from ..network import Slot
 from ..terms import AgentId, SymKey
-from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring, checked_attack
+from .base import Attack, CaseStudy
 
 KEY_AB = SymKey(value=1001, label="K_AB")
 
@@ -98,35 +98,19 @@ def make_guardian() -> Guardian:
                     invariant=InvariantSpec("replay-equality"), plan=plan)
 
 
-def wire(kind=None, guardian=True, attack="classic", seed=0,
-         nonce_bits=64) -> Wiring:
-    kind = kind or "A"
-    attack = checked_attack(attack, CASE)
-    g = make_guardian() if guardian else None
-    attackers = [make_attacker()] if attack else []
-    topo = base_topology(kind, honest=("A", "B"),
-                         attackers=[a.name for a in attackers] or ("E",),
-                         guardian="G" if guardian else None)
-    a = HonestAgent("A", responder_scripts=[responder_script("B")])
-    b = HonestAgent("B", responder_scripts=[responder_script("A")])
-    return Wiring(topology=topo, honest=[a, b], attackers=attackers,
-                  guardian=g,
-                  initiators=[("A", initiator_script("B"), 1)], victim="A")
-
-
 CASE = register(CaseStudy(
     name="iso-sc-27",
     defended_agent="A",
     defense_class="Total",
     viable_topologies=("A",),
-    failure_topologies=("B",),
-    two_agent=True,
-    attack_names=("classic",),
-    fp_conditions=("role-reversal restart reusing a nonce already in the "
-                   "guardian dataset (probability |D_G|/2^k)",),
-    fn_conditions=(),
+    roles={"A": (partial(responder_script, "B"),),
+           "B": (partial(responder_script, "A"),)},
+    initiator=initiator_script,
+    attacks={"classic": Attack(classic_attack)},
+    make_guardian=lambda topology: make_guardian(),
+    attacker_interest=("A",),
+    attacker_knowledge=(AgentId("A"), AgentId("B")),
     message_count=3,
-    wire=wire,
-    attack_function_of=lambda name: classic_attack(),
     monitored_slots=(("A", "B"),),
 ))
+wire = CASE.wire

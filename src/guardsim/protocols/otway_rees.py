@@ -14,19 +14,16 @@ components.
 
 from __future__ import annotations
 
-from ..agents import (AttackerAgent, AttackFunction, EraseStep, ExpectStep,
-                      HonestAgent, InjectStep, PBind, PConst, PPair, PRef,
-                      PSymEnc, RoleScript, SendStep, TConst, TFresh,
-                      TRef, TSymEnc, plist, tlist)
+from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep, PBind,
+                      PConst, PPair, PRef, PSymEnc, RoleScript, SendStep,
+                      TConst, TFresh, TRef, TSymEnc, plist, tlist)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, Modify,
                         RaiseAbortFlag)
-from ..knowledge import KnowledgeSet
 from ..network import Slot
 from ..terms import AgentId, SymEnc, SymKey
-from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring, checked_attack
+from .base import Attack, CaseStudy
 
 KEY_AS = SymKey(value=4001, label="K_AS")
 KEY_BS = SymKey(value=4002, label="K_BS")
@@ -107,9 +104,6 @@ def attack_trace_2() -> AttackFunction:
     ))
 
 
-ATTACKS = {"trace-1": attack_trace_1, "trace-2": attack_trace_2}
-
-
 def key_compromised(result) -> bool:
     """A's accepted session key must be a proper fresh key; anything else
     (the type-flawed agent triple, or attacker-derivable material) is a
@@ -158,27 +152,6 @@ def make_guardian() -> Guardian:
                     plan=plan)
 
 
-def wire(kind=None, guardian=True, attack="trace-1", seed=0,
-         nonce_bits=64) -> Wiring:
-    kind = kind or "C"
-    attack = checked_attack(attack, CASE, classic="trace-1")
-    g = make_guardian() if guardian else None
-    attackers = []
-    if attack:
-        ks = KnowledgeSet([AgentId("A"), AgentId("B"), AgentId("S")])
-        attackers = [AttackerAgent("E", interest=["A", "B", "S"],
-                                   function=ATTACKS[attack](),
-                                   variant="proceed", knowledge=ks)]
-    topo = base_topology(kind, honest=("A", "B", "S"), attackers=("E",),
-                         guardian="G" if guardian else None)
-    a = HonestAgent("A")
-    b = HonestAgent("B", responder_scripts=[b_responder_script()])
-    s = HonestAgent("S", responder_scripts=[server_script()])
-    return Wiring(topology=topo, honest=[a, b, s], attackers=attackers,
-                  guardian=g,
-                  initiators=[("A", initiator_script("B"), 1)], victim="A")
-
-
 def _invert_direct(out):
     """Recover the suppressed (1) from the replayed (4): the ciphertext is
     verbatim and the cleartext agent names are public."""
@@ -201,19 +174,19 @@ CASE = register(CaseStudy(
     defended_agent="A",
     defense_class="Total",
     viable_topologies=("C", "E"),
-    failure_topologies=(),
+    roles={"A": (), "B": (b_responder_script,), "S": (server_script,)},
+    initiator=initiator_script,
+    attacks={"trace-1": Attack(attack_trace_1),
+             "trace-2": Attack(attack_trace_2)},
+    make_guardian=lambda topology: make_guardian(),
+    attacker_interest=("A", "B", "S"),
+    attacker_knowledge=(AgentId("A"), AgentId("B"), AgentId("S")),
     conditional_topologies={
         "D": "defends A only against the server-masquerade variant",
         "F": "defends A only against the server-masquerade variant"},
-    two_agent=False,
-    attack_names=("trace-1", "trace-2"),
-    fp_conditions=("the server mints a session key whose bits equal the "
-                   "encoded I,A,B triple",),
-    fn_conditions=(),
     message_count=4,
-    wire=wire,
-    attack_function_of=lambda name: ATTACKS[name](),
     monitored_slots=(("A", "B"),),
+    masks={"A": "B", "B": "S"},
     success_extra=key_compromised,
     inverse_table={2: _invert_direct},
     inverse_samples={2: _inverse_sample()},

@@ -16,20 +16,17 @@ signature of that splice, and the windowed check bounds how far back
 
 from __future__ import annotations
 
-from ..agents import (AttackerAgent, AttackFunction, EraseStep, ExpectStep,
-                      HonestAgent, InjectStep, ObserveStep, PAsymEnc, PBind,
-                      PConst, PRef, PSucc, RoleScript, SendStep,
-                      TAsymEnc, TConst, TFresh, TKeyLookup, TRef, TSucc,
-                      plist, tlist)
+from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep,
+                      ObserveStep, PAsymEnc, PBind, PConst, PRef, PSucc,
+                      RoleScript, SendStep, TAsymEnc, TConst, TFresh,
+                      TKeyLookup, TRef, TSucc, plist, tlist)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, Intercept, InvariantSpec,
                         ForwardCaptured, RaiseAbortFlag, SendFake)
-from ..knowledge import KnowledgeSet
 from ..network import Slot
 from ..terms import AgentId, AsymKey, Lifetime, Timestamp
-from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring, checked_attack
+from .base import Attack, CaseStudy
 
 K_AS_PUB = AsymKey(pair_id=6001, private=False, label="K_AS")
 K_AS_PRIV = AsymKey(pair_id=6001, private=True, label="K_AS")
@@ -185,29 +182,6 @@ def deceived_by_retarget(result) -> bool:
     return False
 
 
-def wire(kind=None, guardian=True, attack="classic", seed=0,
-         nonce_bits=64, window: int = 16) -> Wiring:
-    kind = kind or "C"
-    attack = checked_attack(attack, CASE)
-    g = make_guardian(window=window) if guardian else None
-    attackers = []
-    if attack:
-        ks = KnowledgeSet([AgentId("A"), AgentId("B"), AgentId("AS"),
-                           AgentId("E"), K_E_PRIV, K_E_PUB, K_A_PUB,
-                           K_B_PUB, K_AS_PUB])
-        attackers = [AttackerAgent("E", interest=["A", "B", "AS", "E"],
-                                   function=classic_attack(),
-                                   variant="proceed", knowledge=ks)]
-    topo = base_topology(kind, honest=("A", "B", "AS"), attackers=("E",),
-                         guardian="G" if guardian else None)
-    a = HonestAgent("A")
-    b = HonestAgent("B", responder_scripts=[b_responder_script()])
-    s = HonestAgent("AS", responder_scripts=[server_script()])
-    return Wiring(topology=topo, honest=[a, b, s], attackers=attackers,
-                  guardian=g,
-                  initiators=[("A", initiator_script("B"), 1)], victim="A")
-
-
 def _invert_resign(out):
     """Map the re-signed challenge back to A's original: the inner
     encrypted challenge survives verbatim; identities and T,L are
@@ -248,21 +222,16 @@ CASE = register(CaseStudy(
     defended_agent="A",
     defense_class="Total",
     viable_topologies=("C",),
-    failure_topologies=("E", "F"),
+    roles={"A": (), "B": (b_responder_script,), "AS": (server_script,)},
+    initiator=initiator_script,
+    attacks={"classic": Attack(classic_attack)},
+    make_guardian=lambda topology, **kw: make_guardian(**kw),
+    attacker_interest=("A", "B", "AS", "E"),
+    attacker_knowledge=(AgentId("A"), AgentId("B"), AgentId("AS"),
+                        AgentId("E"), K_E_PRIV, K_E_PUB, K_A_PUB, K_B_PUB,
+                        K_AS_PUB),
     conditional_topologies={"D": "can still raise A's abort flag"},
-    two_agent=False,
-    attack_names=("classic",),
-    fp_conditions=("two agents contact B concurrently, so B's second key "
-                   "request names someone other than the recorded peer",),
-    fn_conditions=(),
-    boundary_fn_notes=(
-        "a key request arriving after the recorded contact has slid out "
-        "of the temporal window",
-        "the guardian's fake nonce collides with N_2+1",
-    ),
     message_count=6,
-    wire=wire,
-    attack_function_of=lambda name: classic_attack(),
     monitored_slots=(("A", "AS"), ("B", "AS")),
     success_extra=deceived_by_retarget,
     inverse_table={2: _invert_resign, 4: _invert_retarget},

@@ -13,18 +13,19 @@ attacker with a wrong secret and A gets aborted.
 
 from __future__ import annotations
 
-from ..agents import (AttackerAgent, AttackFunction, EraseStep, ExpectStep,
-                      HonestAgent, InjectStep, PBind, RoleScript, SendStep,
-                      TCommEnc, TCommStrip, TConst, TFresh, TRef)
+from functools import partial
+
+from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep, PBind,
+                      RoleScript, SendStep, TCommEnc, TCommStrip, TConst,
+                      TFresh, TRef)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, Modify,
                         RaiseAbortFlag, SendFake)
-from ..knowledge import KnowledgeSet, derivable
+from ..knowledge import derivable
 from ..network import Slot
 from ..terms import AgentId, SymKey
-from ..topology import base_topology
 from . import register
-from .base import CaseStudy, Wiring, checked_attack
+from .base import Attack, CaseStudy
 
 KEY_A = SymKey(value=2001, label="K_A")
 KEY_B = SymKey(value=2002, label="K_B")
@@ -94,40 +95,18 @@ def secret_leaked(result) -> bool:
     return False
 
 
-def wire(kind=None, guardian=True, attack="classic", seed=0,
-         nonce_bits=64) -> Wiring:
-    kind = kind or "A"
-    attack = checked_attack(attack, CASE)
-    g = make_guardian() if guardian else None
-    attackers = []
-    if attack:
-        ks = KnowledgeSet([AgentId("A"), AgentId("B")])
-        attackers = [AttackerAgent("E", interest=["A"],
-                                   function=classic_attack(),
-                                   variant="proceed", knowledge=ks)]
-    topo = base_topology(kind, honest=("A", "B"), attackers=("E",),
-                         guardian="G" if guardian else None)
-    a = HonestAgent("A", responder_scripts=[])
-    b = HonestAgent("B", responder_scripts=[responder_script("A")])
-    return Wiring(topology=topo, honest=[a, b], attackers=attackers,
-                  guardian=g,
-                  initiators=[("A", initiator_script("B"), 1)], victim="A")
-
-
 CASE = register(CaseStudy(
     name="sra3p",
     defended_agent="A",
     defense_class="Total",
     viable_topologies=("A",),
-    failure_topologies=("B",),
-    two_agent=True,
-    attack_names=("classic",),
-    fp_conditions=("an agent opens a run toward A with a layered message "
-                   "already present in the guardian dataset",),
-    fn_conditions=(),
+    roles={"A": (), "B": (partial(responder_script, "A"),)},
+    initiator=initiator_script,
+    attacks={"classic": Attack(classic_attack)},
+    make_guardian=lambda topology: make_guardian(),
+    attacker_interest=("A",),
+    attacker_knowledge=(AgentId("A"), AgentId("B")),
     message_count=3,
-    wire=wire,
-    attack_function_of=lambda name: classic_attack(),
     monitored_slots=(("A", "B"),),
     success_extra=secret_leaked,
 ))

@@ -6,9 +6,9 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .agents import (ExpectStep, HonestAgent, PBind, PConst, PRef, PSymEnc,
-                     RoleScript, SendStep, TConst, TFresh, TRef, TSymEnc,
-                     plist, tlist)
+from .agents import (KIND_CHECKS, ExpectStep, HonestAgent, PBind, PConst,
+                     PRef, PSymEnc, RoleScript, SendStep, TConst, TFresh,
+                     TRef, TSymEnc, plist, tlist)
 from .network import DeadlockError
 from .simulator import BudgetExceeded, SimResult
 from .terms import SymKey, render
@@ -269,6 +269,19 @@ def write_trace_file(result: SimResult, path: str) -> None:
 
 # -- inline protocol specs (honest roles only) -------------------------------
 
+def _sequence(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, not {value!r}")
+    return value
+
+
+def _senc_parts(spec) -> list:
+    parts = spec["senc"]
+    if not isinstance(parts, list) or len(parts) != 2:
+        raise ConfigError(f"senc takes [payload, key], not {parts!r}")
+    return parts
+
+
 def _parse_template(spec, constants):
     if isinstance(spec, dict):
         if "fresh" in spec:
@@ -279,34 +292,42 @@ def _parse_template(spec, constants):
         if "key" in spec:
             return TConst(constants[spec["key"]])
         if "senc" in spec:
-            payload, key = spec["senc"]
+            payload, key = _senc_parts(spec)
             return TSymEnc(_parse_template(payload, constants),
                            _parse_template(key, constants))
         if "list" in spec:
-            return tlist(*[_parse_template(t, constants) for t in spec["list"]])
+            return tlist(*[_parse_template(t, constants)
+                           for t in _sequence(spec["list"], "list")])
     raise ConfigError(f"bad template {spec!r}")
 
 
 def _parse_pattern(spec, constants):
     if isinstance(spec, dict):
         if "bind" in spec:
-            return PBind(spec["bind"], spec.get("kind", "any"))
+            kind = spec.get("kind", "any")
+            if kind not in KIND_CHECKS:
+                raise ConfigError(f"unknown pattern kind {kind!r}; known: "
+                                  f"{sorted(KIND_CHECKS)}")
+            return PBind(spec["bind"], kind)
         if "ref" in spec:
             return PRef(spec["ref"])
         if "key" in spec:
             return PConst(constants[spec["key"]])
         if "senc" in spec:
-            payload, key = spec["senc"]
+            payload, key = _senc_parts(spec)
             return PSymEnc(_parse_pattern(payload, constants),
                            _parse_pattern(key, constants))
         if "list" in spec:
-            return plist(*[_parse_pattern(p, constants) for p in spec["list"]])
+            return plist(*[_parse_pattern(p, constants)
+                           for p in _sequence(spec["list"], "list")])
     raise ConfigError(f"bad pattern {spec!r}")
 
 
 def _parse_script(name, steps, constants, agents):
     parsed = []
-    for step in steps:
+    for step in _sequence(steps, f"{name} steps"):
+        if not isinstance(step, dict):
+            raise ConfigError(f"bad role step {step!r}")
         if "send" in step:
             if not isinstance(step["to"], str) or step["to"] not in agents:
                 raise ConfigError(f"{name} sends to {step['to']!r}, "
@@ -327,8 +348,11 @@ def _wire_inline(config: ScenarioConfig):
     from .protocols.base import Wiring
     inline = config.protocol
     constants = {}
-    for cname, cdef in inline.get("constants", {}).items():
-        if "symkey" in cdef:
+    cdefs = inline.get("constants", {})
+    if not isinstance(cdefs, dict):
+        raise ConfigError("constants must be an object")
+    for cname, cdef in cdefs.items():
+        if isinstance(cdef, dict) and "symkey" in cdef:
             constants[cname] = SymKey(value=cdef["symkey"], label=cname)
         else:
             raise ConfigError(f"bad constant {cname!r}")
@@ -339,9 +363,12 @@ def _wire_inline(config: ScenarioConfig):
     agents = {}
     initiators = []
     for name, role in roles.items():
+        if not isinstance(role, dict):
+            raise ConfigError(f"agent {name!r} must be an object")
         responders = [
             _parse_script(f"{name}-resp-{i}", steps, constants, roles)
-            for i, steps in enumerate(role.get("responder", []))]
+            for i, steps in enumerate(_sequence(role.get("responder", []),
+                                                f"{name} responders"))]
         agents[name] = HonestAgent(name, responder_scripts=responders)
         if "initiator" in role:
             script = _parse_script(f"{name}-init", role["initiator"],

@@ -7,8 +7,8 @@ it; an injected message enters at the injector's own station and travels
 toward the receiver, so stations on the far side never see it.  That
 ordering is what makes placements like "E between A and G" decisive.
 
-Base cases A-F are the standard two- and three-agent layouts; custom
-graphs are supported for ad-hoc scenarios.
+Base cases A-F are the standard two- and three-agent layouts, one
+table of station lists.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class Topology:
     Interceptors sharing a group are co-located and see each other's
     injections on that edge."""
 
-    kind: str                                    # "A".."F" or "custom"
     vertices: Set[str]
     stations: Dict[Tuple[str, str], List[FrozenSet[str]]]
     resilient_links: Set[Tuple[str, str]] = field(default_factory=set)
@@ -126,14 +125,24 @@ class Topology:
         return any(guardian in g for g in stretch)
 
 
-TOPOLOGY_KINDS = ("A", "B", "C", "D", "E", "F")
+# The six base layouts: per edge between honest roles 0, 1, 2 (A, B, S),
+# its stations listed from the first role's side; "G" is the guardian's
+# station, "E" the one the attackers share.
+LAYOUTS = {
+    "A": {(0, 1): "GE"},
+    "B": {(0, 1): "EG"},
+    "C": {(0, 1): "GE", (0, 2): "G", (1, 2): "EG"},
+    "D": {(0, 1): "EG", (0, 2): "EG", (1, 2): "G"},
+    "E": {(0, 1): "GE", (0, 2): "GE", (1, 2): "E"},
+    "F": {(0, 1): "EG", (0, 2): "E", (1, 2): "GE"},
+}
+TOPOLOGY_KINDS = tuple(LAYOUTS)
 
 
 def base_topology(kind: str, honest: Sequence[str] = ("A", "B", "S"),
                   attackers: Sequence[str] = ("E",),
-                  guardian: Optional[str] = "G",
-                  resilient: Sequence[Tuple[str, str]] = ()) -> Topology:
-    """The six base layouts.
+                  guardian: Optional[str] = "G") -> Topology:
+    """One of the six base layouts of LAYOUTS.
 
     A: A-[G]-[E]-B          B: A-[E]-[G]-B
     C: like A plus S behind G    D: like B plus S behind G
@@ -141,72 +150,21 @@ def base_topology(kind: str, honest: Sequence[str] = ("A", "B", "S"),
 
     With guardian=None the guardian station is omitted (undefended runs);
     with several attackers they share E's station (co-located rivals).
+    The guardian holds a resilient link to A, and to B as well in the
+    three-agent layouts.
     """
-    kind = kind.upper()
-    a, b = honest[0], honest[1]
-    s = honest[2] if len(honest) > 2 else "S"
-    e_grp = frozenset(attackers)
-    g_grp = frozenset([guardian]) if guardian else None
-
-    def line(groups):
-        return [g for g in groups if g]
-
-    stations: Dict[Tuple[str, str], List[FrozenSet[str]]] = {}
-
-    def put(x, y, groups):
-        ordered = line(groups)
-        edge = _edge(x, y)
-        if edge[0] != x:
-            ordered = list(reversed(ordered))
-        stations[edge] = ordered
-
-    if kind == "A":
-        put(a, b, [g_grp, e_grp])
-        verts = {a, b}
-    elif kind == "B":
-        put(a, b, [e_grp, g_grp])
-        verts = {a, b}
-    elif kind == "C":
-        put(a, b, [g_grp, e_grp])
-        put(a, s, [g_grp])
-        put(b, s, [e_grp, g_grp])
-        verts = {a, b, s}
-    elif kind == "D":
-        put(a, b, [e_grp, g_grp])
-        put(a, s, [e_grp, g_grp])
-        put(b, s, [g_grp])
-        verts = {a, b, s}
-    elif kind == "E":
-        put(a, b, [g_grp, e_grp])
-        put(a, s, [g_grp, e_grp])
-        put(b, s, [e_grp])
-        verts = {a, b, s}
-    elif kind == "F":
-        put(a, b, [e_grp, g_grp])
-        put(a, s, [e_grp])
-        put(b, s, [g_grp, e_grp])
-        verts = {a, b, s}
-    else:
+    layout = LAYOUTS.get(kind.upper())
+    if layout is None:
         raise ConfigError(f"unknown base topology kind {kind!r}")
-
-    links = set(resilient)
-    if guardian and not links:
-        links = {(guardian, a)} if kind in ("A", "B") else {(guardian, a), (guardian, b)}
-    return Topology(kind=kind, vertices=verts, stations=stations,
+    names = (honest[0], honest[1], honest[2] if len(honest) > 2 else "S")
+    groups = {"G": frozenset([guardian] if guardian else ()),
+              "E": frozenset(attackers)}
+    stations: Dict[Tuple[str, str], List[FrozenSet[str]]] = {}
+    for (x, y), line in layout.items():
+        ordered = [groups[st] for st in line if groups[st]]
+        edge = _edge(names[x], names[y])
+        stations[edge] = ordered if edge[0] == names[x] else ordered[::-1]
+    used = {i for edge in layout for i in edge}
+    links = {(guardian, names[i]) for i in range(len(used) - 1)}
+    return Topology(vertices={names[i] for i in used}, stations=stations,
                     resilient_links=links if guardian else set())
-
-
-def shared_channel_topology(honest: Sequence[str],
-                            attackers: Sequence[str],
-                            guardian: Optional[str] = None) -> Topology:
-    """All attackers co-located on the single a<->b channel: the layout of
-    the two-rival interaction studies."""
-    a, b = honest[0], honest[1]
-    groups: List[FrozenSet[str]] = []
-    if guardian:
-        groups.append(frozenset([guardian]))
-    groups.append(frozenset(attackers))
-    stations = {_edge(a, b): groups if _edge(a, b)[0] == a else list(reversed(groups))}
-    links = {(guardian, a)} if guardian else set()
-    return Topology(kind="custom", vertices={a, b}, stations=stations,
-                    resilient_links=links)

@@ -54,6 +54,19 @@ def test_bad_scenario_config_exit(tmp_path):
     json.dumps({"protocol": {"agents": {"A": {}, "B": {}}, "victim": "Z"}}),
     json.dumps({"protocol": {"agents": {"A": {"initiator": [
         {"send": {"fresh": "na"}, "to": "B"}]}, "B": {}}}}),
+    json.dumps({"protocol": {"agents": {"A": [], "B": {}}}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [5]}, "B": {}}}}),
+    json.dumps({"protocol": {"agents": {"A": {}, "B": {"responder": [[5]]}}}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"senc": 5}, "to": "B", "msg": 1}]}, "B": {}}}}),
+    json.dumps({"protocol": {"constants": {"K": 5},
+                             "agents": {"A": {}, "B": {}}}}),
+    json.dumps({"protocol": {"constants": 5, "agents": {"A": {}, "B": {}}}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"list": 5}, "to": "B", "msg": 1}]}, "B": {}}}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"fresh": "na"}, "to": "B", "msg": 1}]}, "B": {"responder": [
+            [{"expect": {"bind": "x", "kind": "bogus"}, "msg": 1}]]}}}}),
 ])
 def test_bad_scenario_input_exit(tmp_path, text):
     path = tmp_path / "bad.json"

@@ -127,10 +127,10 @@ def test_verify_inverse_identity_for_replays():
 
 def test_registered_inverse_samples_verified():
     case = builtin("otway-rees")
-    fn = case.attack_function_of("trace-1")
+    fn = case.attacks["trace-1"].function()
     assert verify_inverse(fn, case.inverse_table, case.inverse_samples) is True
     case2 = builtin("splice-as")
-    fn2 = case2.attack_function_of("classic")
+    fn2 = case2.attacks["classic"].function()
     assert verify_inverse(fn2, case2.inverse_table, case2.inverse_samples) is True
 
 

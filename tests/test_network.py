@@ -9,7 +9,7 @@ from guardsim.protocols.iso_sc27 import (initiator_script, make_attacker,
 from guardsim.scenario import write_trace_file
 from guardsim.simulator import Simulator
 from guardsim.terms import Nonce
-from guardsim.topology import shared_channel_topology
+from guardsim.topology import base_topology
 
 
 def run_attack(seed=7, **kw):
@@ -71,7 +71,8 @@ def test_seed_changes_values_not_structure():
 def test_same_round_identical_erases_merge_with_rollback_report():
     # two rivals erase the same envelope: the first-registered acts, the
     # other is co-credited; the merged step shows both
-    topo = shared_channel_topology(("A", "B"), ("E_1", "E_2"))
+    topo = base_topology("A", honest=("A", "B"), attackers=("E_1", "E_2"),
+                         guardian=None)
     e1 = make_attacker("E_1")
     e2 = make_attacker("E_2")
     a = HonestAgent("A", responder_scripts=[responder_script("B")])

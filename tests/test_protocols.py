@@ -600,3 +600,25 @@ def test_defended_honest_runs_raise_no_flags():
         result = wiring.simulator(seed=11).run()
         assert result.guardian.interference_count == 0, name
         assert not result.aborted_by_guardian, name
+
+
+def test_matrix_defense_column_derived_from_cells():
+    # a row's class is the best one its counted cells observed, whatever
+    # the study declares; a conditional cell does not count
+    from guardsim.matrix import Cell, MatrixReport
+
+    def cell(protocol, kind, observed):
+        return Cell(protocol=protocol, topology=kind, advantage=False,
+                    defense_mechanism=False, observed=observed,
+                    fn_by_attack={}, interfered={})
+
+    report = MatrixReport([cell("iso-sc-27", "A", "Partial"),
+                           cell("iso-sc-27", "B", "None"),
+                           cell("otway-rees", "C", "Partial"),
+                           cell("otway-rees", "D", "Total"),
+                           cell("bme-fixed", "D", "None")])
+    rows = {r["protocol"]: (r["defense"], r["viable_topologies"])
+            for r in report.rows()}
+    assert rows == {"iso-sc-27": ("Partial", ["A"]),
+                    "otway-rees": ("Partial", ["C"]),
+                    "bme-fixed": ("None", [])}

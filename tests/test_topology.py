@@ -1,16 +1,18 @@
 """Base topologies and the visibility function."""
 
+import pytest
+
 from guardsim.network import Envelope, Slot, watchers
 from guardsim.terms import Nonce
-from guardsim.topology import base_topology, shared_channel_topology
+from guardsim.topology import base_topology
 
 N = Nonce(value=1, label="N_A")
 
 
-def env(claimed, receiver, true=None, injected=False, resilient=False):
+def env(claimed, receiver, true=None, injected=False):
     return Envelope(seq=1, claimed_sender=claimed, body=N, receiver=receiver,
                     true_sender=true or claimed, slot=Slot(1, 1),
-                    injected=injected, resilient=resilient)
+                    injected=injected)
 
 
 def test_kind_a_guardian_sees_all_of_a_traffic():
@@ -26,11 +28,6 @@ def test_kind_b_attacker_excludes_guardian():
     # E adjacent to A: his forgeries toward A never reach G's tap
     assert "G" not in watchers(topo, env("B", "A", true="E", injected=True))
     assert "G" in watchers(topo, env("A", "B"))  # honest traffic still crosses
-
-
-def test_resilient_link_invisible():
-    topo = base_topology("A", honest=("A", "B"))
-    assert "E" not in watchers(topo, env("G", "A", resilient=True))
 
 
 def test_three_agent_kinds_station_layout():
@@ -53,8 +50,36 @@ def test_three_agent_kinds_station_layout():
     assert not topo_f.guards_path("G", "A", "S")
 
 
+# stations per edge, listed from the edge's first vertex; "" is the
+# guardian's station when it is on and vanishes when it is off
+LAYOUTS = {
+    "A": {("A", "B"): "G E"},
+    "B": {("A", "B"): "E G"},
+    "C": {("A", "B"): "G E", ("A", "S"): "G", ("B", "S"): "E G"},
+    "D": {("A", "B"): "E G", ("A", "S"): "E G", ("B", "S"): "G"},
+    "E": {("A", "B"): "G E", ("A", "S"): "G E", ("B", "S"): "E"},
+    "F": {("A", "B"): "E G", ("A", "S"): "E", ("B", "S"): "G E"},
+}
+
+
+@pytest.mark.parametrize("guardian", ["G", None])
+@pytest.mark.parametrize("kind", sorted(LAYOUTS))
+def test_base_layout_stations_pinned(kind, guardian):
+    honest = ("A", "B") if kind in ("A", "B") else ("A", "B", "S")
+    topo = base_topology(kind, honest=honest, attackers=("E",),
+                         guardian=guardian)
+    expected = {edge: [frozenset([who]) for who in line.split()
+                       if guardian or who != "G"]
+                for edge, line in LAYOUTS[kind].items()}
+    assert topo.stations == expected
+    assert topo.vertices == set(honest)
+    links = {("G", "A")} if kind in ("A", "B") else {("G", "A"), ("G", "B")}
+    assert topo.resilient_links == (links if guardian else set())
+
+
 def test_co_located_rivals_see_each_others_injections():
-    topo = shared_channel_topology(("A", "B"), ("E_1", "E_2"))
+    topo = base_topology("A", honest=("A", "B"), attackers=("E_1", "E_2"),
+                         guardian=None)
     forged = env("B", "A", true="E_1", injected=True)
     assert "E_2" in watchers(topo, forged)
     forged2 = env("B", "A", true="E_2", injected=True)
