@@ -18,6 +18,7 @@ own state.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
                     Union)
@@ -258,6 +259,8 @@ def reinterpret(term: Term) -> Term:
 class FreshMint:
     """Deterministic fresh-value source with scenario-unique labels."""
 
+    KINDS = ("nonce", "symkey", "asymkey", "atom")
+
     def __init__(self, rng):
         self.rng = rng
         self._used_labels: Dict[str, int] = {}
@@ -392,7 +395,12 @@ class Session:
 
 
 class HonestAgent:
-    """Follows its role scripts; never inspects envelope identities."""
+    """Follows its role scripts; never inspects envelope identities.
+
+    Active sessions are filed by the step they stand at: the keys of the
+    sessions whose next step is a send sit in a min-heap, those waiting
+    on an expect map to that step, so `poll` and `deliver` visit only
+    sessions that can act, still in ascending key order."""
 
     def __init__(self, name: str, knowledge: Optional[KnowledgeSet] = None,
                  responder_scripts: Sequence[RoleScript] = ()):
@@ -402,14 +410,36 @@ class HonestAgent:
         self.sessions: Dict[int, Session] = {}
         self.flags: Dict[str, bool] = {}
         self._send_cache: Dict[Tuple[int, int], Tuple[Term, str]] = {}
+        self._ready: List[int] = []          # min-heap of send-ready keys
+        self._waiting: Dict[int, ExpectStep] = {}   # key -> awaited step
+        # (net_session, wire view) of every body a session consumed
+        self._consumed: Set[Tuple[int, object]] = set()
 
     def _new_key(self) -> int:
-        return max(self.sessions, default=0) + 1
+        # keys run 1, 2, ... and are never removed
+        return len(self.sessions) + 1
+
+    def _file(self, sess: Session) -> None:
+        """Put a session that just moved under the step it now stands at;
+        one past its last step, it is complete."""
+        step = sess.current()
+        if step is None:
+            sess.status = "complete"
+        elif isinstance(step, SendStep):
+            heapq.heappush(self._ready, sess.key)
+        else:
+            self._waiting[sess.key] = step
+
+    def _consume(self, sess: Session, env: Envelope, msg: int) -> None:
+        sess.consumed.append(Consumed(env, msg))
+        self._consumed.add((sess.net_session, wire_view(env.body)))
 
     def start_session(self, net_session: int, script: RoleScript) -> Session:
         sess = Session(key=self._new_key(), net_session=net_session,
                        script=script, bindings=dict(script.initial_bindings))
         self.sessions[sess.key] = sess
+        if script.steps:
+            self._file(sess)
         return sess
 
     def set_flag(self, flag: str) -> None:
@@ -418,6 +448,8 @@ class HonestAgent:
             for sess in self.sessions.values():
                 if sess.status == "active":
                     sess.status = "aborted"
+            self._ready.clear()
+            self._waiting.clear()
 
     def deliver(self, env: Envelope) -> None:
         """Consume a delivered body: advance a waiting session, or open a
@@ -425,26 +457,22 @@ class HonestAgent:
         of a body already consumed under the same session label never
         opens a second session."""
         self.knowledge.add(env.body)
-        for key in sorted(self.sessions):
+        for key in sorted(self._waiting):
             sess = self.sessions[key]
-            step = sess.current()
-            if sess.status != "active" or not isinstance(step, ExpectStep):
-                continue
+            step = self._waiting[key]
             bound = match(step.pattern, env.body, sess.bindings)
             if bound is not None:
+                del self._waiting[key]
                 sess.bindings = bound
                 sess.pc += 1
                 sess.last_msg = step.msg
-                sess.consumed.append(Consumed(env, step.msg))
-                if sess.current() is None:
-                    sess.status = "complete"
+                self._consume(sess, env, step.msg)
+                self._file(sess)
                 return
         if self.flags.get("abort"):
             return
-        for sess in self.sessions.values():
-            if sess.net_session == env.slot.session and \
-                    any(wire_eq(c.env.body, env.body) for c in sess.consumed):
-                return
+        if (env.slot.session, wire_view(env.body)) in self._consumed:
+            return
         for script in self.responder_scripts:
             first = script.first_expect()
             if first is None:
@@ -455,48 +483,47 @@ class HonestAgent:
                                net_session=env.slot.session, script=script,
                                bindings=bound, pc=1,
                                last_msg=env.slot.msg or first.msg)
-                sess.consumed.append(Consumed(env, first.msg))
                 self.sessions[sess.key] = sess
-                if sess.current() is None:
-                    sess.status = "complete"
+                self._consume(sess, env, first.msg)
+                self._file(sess)
                 return
 
     def poll(self, mint: FreshMint, nonce_bits: int) -> Optional[Send]:
-        """Propose the next pending send. Fresh values are minted once and
-        cached so a proposal that loses arbitration re-proposes unchanged;
-        the program counter only advances in commit_send."""
-        if self.flags.get("abort"):
+        """Propose the send of the lowest-keyed send-ready session. Fresh
+        values are minted once and cached so a proposal that loses
+        arbitration re-proposes unchanged; the program counter only
+        advances in commit_send."""
+        if self.flags.get("abort") or not self._ready:
             return None
-        for key in sorted(self.sessions):
-            sess = self.sessions[key]
-            step = sess.current()
-            if sess.status != "active" or not isinstance(step, SendStep):
-                continue
-            cache_key = (key, sess.pc)
-            if cache_key not in self._send_cache:
-                receiver = step.receiver
-                if isinstance(receiver, TRef):
-                    bound = sess.bindings[receiver.name]
-                    receiver = bound.name if isinstance(bound, AgentId) else str(bound)
-                body = instantiate(step.body, sess.bindings, mint, self.name,
-                                   nonce_bits)
-                self._send_cache[cache_key] = (body, receiver)
-            body, receiver = self._send_cache[cache_key]
-            msg = sess.last_msg + 1 if step.relative else step.msg
-            return Send(sender=self.name, body=body, receiver=receiver,
-                        slot=Slot(session=sess.net_session, msg=msg),
-                        session_key=key)
-        return None
+        key = self._ready[0]
+        sess = self.sessions[key]
+        step = sess.current()
+        cache_key = (key, sess.pc)
+        if cache_key not in self._send_cache:
+            receiver = step.receiver
+            if isinstance(receiver, TRef):
+                bound = sess.bindings[receiver.name]
+                receiver = bound.name if isinstance(bound, AgentId) else str(bound)
+            body = instantiate(step.body, sess.bindings, mint, self.name,
+                               nonce_bits)
+            self._send_cache[cache_key] = (body, receiver)
+        body, receiver = self._send_cache[cache_key]
+        msg = sess.last_msg + 1 if step.relative else step.msg
+        return Send(sender=self.name, body=body, receiver=receiver,
+                    slot=Slot(session=sess.net_session, msg=msg),
+                    session_key=key)
 
     def commit_send(self, key: int) -> None:
+        """Advance the session whose send `poll` proposed and was applied."""
+        if not self._ready or self._ready[0] != key:
+            raise ValueError(f"{self.name} proposed no send of session {key}")
+        heapq.heappop(self._ready)
         sess = self.sessions[key]
         self._send_cache.pop((key, sess.pc), None)
         step = sess.current()
-        if isinstance(step, SendStep):
-            sess.last_msg = sess.last_msg + 1 if step.relative else step.msg
+        sess.last_msg = sess.last_msg + 1 if step.relative else step.msg
         sess.pc += 1
-        if sess.current() is None:
-            sess.status = "complete"
+        self._file(sess)
 
 
 # -- attackers --------------------------------------------------------------

@@ -5,10 +5,13 @@ The guardian spies like an attacker but defends: the Identification
 module labels protocol messages in its dataset, the Control module runs
 a criticality distinguisher and, on critical messages, an attack
 invariant over the previously labelled dataset (optionally restricted to
-a sliding window of recent revisions).  A hit expands the interference
-plan into a queue of concrete actions: erase the message in transit
-(capture or stop), inject fakes, and raise the defended agent's abort
-flag over the resilient channel.
+a sliding window of recent revisions).  The dataset is indexed by the
+wire views of its entries and of their encryption components, so the
+invariant judges only the entries that could make it fire
+(`InvariantSpec.candidates`), not all of D_G.  A hit expands the
+interference plan into a queue of concrete actions: erase the message in
+transit (capture or stop), inject fakes, and raise the defended agent's
+abort flag over the resilient channel.
 
 The Guardian owns that queue.  Each round the simulator asks it for the
 next action (`propose`), keeps the envelopes it means to capture off the
@@ -57,10 +60,13 @@ class StoreEntry:
 class GuardianStore:
     """D_G with 'P' / 'critical' label subsets; deduplicates by wire
     equality (the guardian compares bitstrings) and tracks revisions for
-    the temporal window."""
+    the temporal window.  `by_part` lists, under the wire view of each
+    encryption component, the entries that hold it (an encryption is its
+    own first component)."""
 
     def __init__(self):
         self.entries: Dict[object, StoreEntry] = {}
+        self.by_part: Dict[object, List[StoreEntry]] = {}
         self.revision = 0
 
     def add(self, term: Term, labels: Set[str],
@@ -73,6 +79,9 @@ class GuardianStore:
                                first_rev=self.revision,
                                last_rev=self.revision)
             self.entries[key] = entry
+            for part in {key if c is term else wire_view(c)
+                         for c in _enc_components(term)}:
+                self.by_part.setdefault(part, []).append(entry)
         else:
             entry.labels |= labels
             entry.last_rev = self.revision
@@ -83,7 +92,9 @@ class GuardianStore:
         return entry
 
     def snapshot(self) -> List[StoreEntry]:
-        """A copy of D_G that later adds leave unchanged."""
+        """A copy of D_G that later adds leave unchanged.  The simulator
+        and Monte Carlo read the live store; the benchmark tracer still
+        wraps this method by name."""
         return [StoreEntry(e.term, set(e.labels), e.first_rev, e.last_rev,
                            set(e.sources), e.p_rev)
                 for e in self.entries.values()]
@@ -110,6 +121,28 @@ class InvariantSpec:
     (and inside the window when one is configured)."""
     name: str
     params: Dict[str, object] = field(default_factory=dict)
+
+    def candidates(self, m: Term, store: GuardianStore
+                   ) -> Collection[StoreEntry]:
+        """The entries of `store` that could make `evaluate` fire on `m`:
+        the one wire-equal to it for plain replay-equality; for the
+        component invariants, those whose own wire view, or one of whose
+        encryption components' views, is that of one of `m`'s encryption
+        components (of `m` itself when it has none); all of them
+        otherwise."""
+        if self.name == "replay-equality" and not self.params.get("component"):
+            entry = store.entries.get(wire_view(m))
+            return [entry] if entry is not None else []
+        if self.name in ("replay-equality", "windowed-freshness"):
+            found: Dict[int, StoreEntry] = {}
+            for part in _enc_components(m) or [m]:
+                view = wire_view(part)
+                for entry in (store.entries.get(view),
+                              *store.by_part.get(view, ())):
+                    if entry is not None:
+                        found.setdefault(id(entry), entry)
+            return list(found.values())
+        return store.entries.values()
 
     def evaluate(self, m: Term, entries: Collection[StoreEntry],
                  delta_c: Distinguisher, window: Optional[int],
@@ -347,8 +380,9 @@ class Guardian:
             crit_val = self.crit(m)
             if crit_val:
                 inv_val = self.invariant.evaluate(
-                    m, self.store.entries.values(), self.crit, self.window,
-                    self.store.revision + 1) if self.invariant_operative else 0
+                    m, self.invariant.candidates(m, self.store), self.crit,
+                    self.window, self.store.revision + 1
+                ) if self.invariant_operative else 0
         entry = self.store.add(m, {"P"} if ident_val else set(),
                                source=(filters[0].direction, filters[0].target))
         if crit_val:
@@ -414,7 +448,6 @@ class Guardian:
     # -- interference --
 
     def mint_fake(self, spec: FakeSpec) -> Term:
-        taken = {wire_view(e.term) for e in self.store.entries.values()}
         while True:
             if self.fake_value_override is not None:
                 value = self.fake_value_override
@@ -424,7 +457,7 @@ class Guardian:
             term = (Nonce(value=value, width=self.fake_bits, label=spec.label)
                     if spec.kind == "nonce"
                     else Atom(value=value, label=spec.label))
-            if wire_view(term) not in taken:
+            if wire_view(term) not in self.store.entries:
                 return term
 
     def _queue_plan(self, env: Envelope) -> None:

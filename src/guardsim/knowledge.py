@@ -3,13 +3,14 @@
 A KnowledgeSet is a revisioned, monotonically growing set of terms; a
 rollback restores a prior revision exactly.  `analyze` computes the
 decomposition fixpoint (projection, decryption, commutative peeling,
-successor stripping); `derivable` answers synthesis queries top-down so
-the infinite forward closure is never enumerated.
+successor stripping) with a worklist that visits each term once;
+`derivable` answers synthesis queries top-down so the infinite forward
+closure is never enumerated.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .terms import (AsymEnc, CommEnc, Pair, Succ, SymEnc, Term,
                     comm_strip, inverse_key, KEY_TYPES)
@@ -72,41 +73,49 @@ def analyze_terms(items: Iterable[Term]) -> frozenset:
 
     Pairs are projected, encryptions whose inverse key is available are
     opened, commutative layers with known inverses are peeled, successors
-    are stripped (the offset is public arithmetic).  Terminates: every
-    added term is a strict subterm or a key-multiset reduction.
+    are stripped (the offset is public arithmetic).  A worklist visits
+    each term once (the `analz` closure of Paulson's inductive method): an
+    encryption whose inverse key is not yet known waits, as its (term,
+    key) pair, under that inverse key and is opened when the key arrives.
+    Terminates: every added term is a strict subterm or a key-multiset
+    reduction.
     """
     known: Set[Term] = set(items)
-    frontier = list(known)
-    while frontier:
-        new: List[Term] = []
-        for t in known:
-            if isinstance(t, Pair):
-                for part in (t.left, t.right):
-                    if part not in known:
-                        new.append(part)
-            elif isinstance(t, (SymEnc, AsymEnc)):
-                if isinstance(t.key, KEY_TYPES) and inverse_key(t.key) in known:
-                    if t.payload not in known:
-                        new.append(t.payload)
-            elif isinstance(t, CommEnc):
-                for k in set(t.keys):
-                    if isinstance(k, KEY_TYPES) and inverse_key(k) in known:
-                        reduced = comm_strip(t, k)
-                        if reduced not in known:
-                            new.append(reduced)
-            elif isinstance(t, Succ):
-                if t.base not in known:
-                    new.append(t.base)
-        if not new:
-            break
-        known.update(new)
-        frontier = new
+    todo = list(known)
+    locked: Dict[Term, List[Tuple[Term, Term]]] = {}
+
+    def learn(t: Term) -> None:
+        if t not in known:
+            known.add(t)
+            todo.append(t)
+
+    def opened(t: Term, key: Term) -> Term:
+        return comm_strip(t, key) if isinstance(t, CommEnc) else t.payload
+
+    while todo:
+        t = todo.pop()
+        for enc, key in locked.pop(t, ()):
+            learn(opened(enc, key))
+        if isinstance(t, Pair):
+            learn(t.left)
+            learn(t.right)
+        elif isinstance(t, Succ):
+            learn(t.base)
+        elif isinstance(t, (SymEnc, AsymEnc, CommEnc)):
+            keys = set(t.keys) if isinstance(t, CommEnc) else (t.key,)
+            for key in keys:
+                if isinstance(key, KEY_TYPES):
+                    inverse = inverse_key(key)
+                    if inverse in known:
+                        learn(opened(t, key))
+                    else:
+                        locked.setdefault(inverse, []).append((t, key))
     return frozenset(known)
 
 
 def analyze(ks: KnowledgeSet) -> KnowledgeSet:
     """Analysis fixpoint as a new KnowledgeSet (idempotent)."""
-    return KnowledgeSet(sorted(analyze_terms(ks.items),
+    return KnowledgeSet(sorted(analyze_terms(ks._items),
                                key=lambda t: repr(t)))
 
 
@@ -119,7 +128,7 @@ def derivable(ks: KnowledgeSet, goal: Term,
     infinite forward closure enumerated. When `explain` is given, the
     applied rule steps are appended to it (for derivation replay).
     """
-    analyzed = analyze_terms(ks.items)
+    analyzed = analyze_terms(ks._items)
     memo = {}
 
     def synth(t: Term) -> bool:
@@ -162,4 +171,10 @@ def derivable(ks: KnowledgeSet, goal: Term,
             explain.append(trace_entry)
         return result
 
-    return synth(goal)
+    try:
+        return synth(goal)
+    finally:
+        # synth refers to itself: break that cycle so the closure, with
+        # the analysis and the memo, is freed now and not at the next
+        # full garbage collection
+        del synth

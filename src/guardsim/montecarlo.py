@@ -77,7 +77,7 @@ def monte_carlo_fp(nonce_bits: int, dataset_size: int, trials: int,
         g.store.add(Nonce(value=v, width=nonce_bits, label="N"),
                     {"P", "critical"})
 
-    snapshot = g.store.snapshot()
+    # trials only read D_G, so each judges the live store's candidates
     current_rev = g.store.revision + 1
     hits = 0
     for _ in range(trials):
@@ -85,7 +85,8 @@ def monte_carlo_fp(nonce_bits: int, dataset_size: int, trials: int,
         m = Nonce(value=value, width=nonce_bits, label="N_B")
         if g.crit(m) != 1:
             continue
-        if g.invariant.evaluate(m, snapshot, g.crit, g.window, current_rev):
+        if g.invariant.evaluate(m, g.invariant.candidates(m, g.store), g.crit,
+                                g.window, current_rev):
             hits += 1
 
     analytic = math.ldexp(dataset_size, -nonce_bits)

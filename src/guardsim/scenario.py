@@ -6,9 +6,9 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .agents import (KIND_CHECKS, ExpectStep, HonestAgent, PBind, PConst,
-                     PRef, PSymEnc, RoleScript, SendStep, TConst, TFresh,
-                     TRef, TSymEnc, plist, tlist)
+from .agents import (KIND_CHECKS, ExpectStep, FreshMint, HonestAgent, PBind,
+                     PConst, PRef, PSymEnc, RoleScript, SendStep, TConst,
+                     TFresh, TRef, TSymEnc, plist, tlist)
 from .network import DeadlockError
 from .simulator import BudgetExceeded, SimResult
 from .terms import SymKey, render
@@ -282,15 +282,26 @@ def _senc_parts(spec) -> list:
     return parts
 
 
+def _constant(spec, constants):
+    name = spec["key"]
+    if not isinstance(name, str) or name not in constants:
+        raise ConfigError(f"unknown constant {name!r}")
+    return constants[name]
+
+
 def _parse_template(spec, constants):
     if isinstance(spec, dict):
         if "fresh" in spec:
-            return TFresh(binding=spec["fresh"], kind=spec.get("kind", "nonce"),
+            kind = spec.get("kind", "nonce")
+            if kind not in FreshMint.KINDS:
+                raise ConfigError(f"unknown fresh kind {kind!r}; known: "
+                                  f"{list(FreshMint.KINDS)}")
+            return TFresh(binding=spec["fresh"], kind=kind,
                           label=spec.get("label", "N_{agent}"))
         if "ref" in spec:
             return TRef(spec["ref"])
         if "key" in spec:
-            return TConst(constants[spec["key"]])
+            return TConst(_constant(spec, constants))
         if "senc" in spec:
             payload, key = _senc_parts(spec)
             return TSymEnc(_parse_template(payload, constants),
@@ -312,7 +323,7 @@ def _parse_pattern(spec, constants):
         if "ref" in spec:
             return PRef(spec["ref"])
         if "key" in spec:
-            return PConst(constants[spec["key"]])
+            return PConst(_constant(spec, constants))
         if "senc" in spec:
             payload, key = _senc_parts(spec)
             return PSymEnc(_parse_pattern(payload, constants),

@@ -133,13 +133,15 @@ class Simulator:
             # propose first: it drops the captures that went stale
             guardian_prop = g.propose(self.net.pending, self.nonce_bits)
             erase_targets |= g.captures()
-        deliveries = [seq for seq in sorted(self.net.pending)
-                      if seq not in erase_targets]
+        # pending holds envelopes in the order they entered, which is seq
+        # order: the first one nobody means to erase is the one delivered
+        delivery = next((seq for seq in self.net.pending
+                         if seq not in erase_targets), None)
 
         if (guardian_prop is None and g is not None and not attacker_props
-                and not honest_props and not deliveries):
+                and not honest_props and delivery is None):
             guardian_prop = g.quiescent()
-        return attacker_props, guardian_prop, honest_props, deliveries
+        return attacker_props, guardian_prop, honest_props, delivery
 
     # -- select & apply --
 
@@ -218,7 +220,7 @@ class Simulator:
         nobody proposed anything."""
         self.rounds += 1
         self._notify()
-        attacker_props, guardian_prop, honest_props, deliveries = self._poll()
+        attacker_props, guardian_prop, honest_props, delivery = self._poll()
         if attacker_props:
             att, prop = attacker_props[0]
             if isinstance(prop, Erase):
@@ -240,10 +242,9 @@ class Simulator:
             prop = honest_props[0][1]
             self._apply_send(prop)
             return prop
-        if deliveries:
-            env = self.net.pending[deliveries[0]]
-            self._apply_deliver(deliveries[0])
-            return Deliver(target_seq=env.seq)
+        if delivery is not None:
+            self._apply_deliver(delivery)
+            return Deliver(target_seq=delivery)
         raise DeadlockError("no agent proposed an action")
 
     def run(self) -> SimResult:

@@ -1,10 +1,15 @@
-"""Independent brute-force derivability oracle.
+"""Independent reference implementations for the knowledge layer.
 
-Forward-chaining bounded closure, deliberately different in style from
-the library's goal-directed decision procedure: analysis rules run to a
-fixpoint while synthesis only ever builds terms drawn from the candidate
-universe (subterms of the knowledge set and the goal, plus commutative
-re-layerings).  For bounded instances this decides the same relation."""
+`closure_oracle` is a brute-force derivability oracle: a forward-chaining
+bounded closure, deliberately different in style from the library's
+goal-directed decision procedure.  Analysis rules run to a fixpoint
+while synthesis only ever builds terms drawn from the candidate universe
+(subterms of the knowledge set and the goal, plus commutative
+re-layerings).  For bounded instances this decides the same relation.
+
+`frontier_analyze` is the pass-by-pass analysis fixpoint that
+`analyze_terms` computed before it became a worklist: each pass applies
+every rule to every known term until a pass adds nothing."""
 
 from itertools import combinations
 
@@ -70,3 +75,31 @@ def closure_oracle(knowledge, goal, max_rounds=64):
             break
         known |= new
     return goal in known
+
+
+def frontier_analyze(items):
+    """Decomposition fixpoint by repeated full passes over `known`."""
+    known = set(items)
+    while True:
+        new = []
+        for t in known:
+            if isinstance(t, Pair):
+                for part in (t.left, t.right):
+                    if part not in known:
+                        new.append(part)
+            elif isinstance(t, (SymEnc, AsymEnc)):
+                if isinstance(t.key, KEY_TYPES) and inverse_key(t.key) in known:
+                    if t.payload not in known:
+                        new.append(t.payload)
+            elif isinstance(t, CommEnc):
+                for k in set(t.keys):
+                    if isinstance(k, KEY_TYPES) and inverse_key(k) in known:
+                        reduced = comm_strip(t, k)
+                        if reduced not in known:
+                            new.append(reduced)
+            elif isinstance(t, Succ):
+                if t.base not in known:
+                    new.append(t.base)
+        if not new:
+            return frozenset(known)
+        known.update(new)

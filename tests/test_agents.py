@@ -5,8 +5,11 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import guardsim
-from guardsim.agents import (FreshMint, PBind, PPair, PRef, PSucc, TFresh,
+from guardsim.agents import (ExpectStep, FreshMint, HonestAgent, PBind, PPair,
+                             PRef, PSucc, RoleScript, SendStep, TConst, TFresh,
                              match, reinterpret, plist)
 from guardsim.network import Envelope, Slot
 from guardsim.protocols.iso_sc27 import classic_attack, make_attacker
@@ -116,3 +119,65 @@ def test_minted_nonce_fits_its_width():
         nonce = mint.mint(TFresh("n", label="N"), "A", bits)
         assert nonce.width == bits
         assert 0 <= nonce.value < 1 << bits
+
+
+# -- honest session order ----------------------------------------------------
+
+def send(msg):
+    return SendStep(receiver="B", body=TConst(Nonce(value=msg, label=f"M{msg}")),
+                    msg=msg)
+
+
+def expect(msg):
+    return ExpectStep(pattern=PBind(f"x{msg}", "nonce"), msg=msg)
+
+
+def script(*steps):
+    return RoleScript(name="r", steps=steps)
+
+
+def test_interleaved_sessions_act_in_ascending_key_order():
+    agent = HonestAgent("A", responder_scripts=[script(expect(1), send(2))])
+    mint = FreshMint(random.Random(0))
+    for steps in ((expect(1), send(2)), (send(1), expect(2)),
+                  (expect(1), send(2)), (send(1), send(2))):
+        agent.start_session(7, script(*steps))
+
+    def polled():
+        prop = agent.poll(mint, 64)
+        return prop and prop.session_key
+
+    def deliver(value, session=7):
+        agent.deliver(Envelope(seq=value, claimed_sender="B",
+                               body=Nonce(value=value, label="N"),
+                               receiver="A", true_sender="B",
+                               slot=Slot(session, 1)))
+        return [(k, s.pc, s.status) for k, s in agent.sessions.items()]
+
+    assert polled() == 2
+    assert polled() == 2          # a losing proposal is offered again
+    agent.commit_send(2)
+    assert polled() == 4
+    agent.commit_send(4)
+    assert polled() == 4          # its next step is a send too
+    # the lowest waiting session takes a body several of them accept
+    assert deliver(50)[:3] == [(1, 1, "active"), (2, 1, "active"),
+                               (3, 0, "active")]
+    assert polled() == 1
+    assert deliver(51)[1] == (2, 2, "complete")
+    assert deliver(52)[2] == (3, 1, "active")
+    assert [polled() for _ in range(2)] == [1, 1]
+    agent.commit_send(1)
+    assert polled() == 3
+    with pytest.raises(ValueError):
+        agent.commit_send(4)      # poll proposed session 3, not 4
+    # nobody waits: a new body opens a responder session, keyed next
+    assert deliver(53, session=8)[-1] == (5, 1, "active")
+    # ... and its replay under the same label opens none
+    assert len(deliver(53, session=8)) == 5
+    agent.set_flag("abort")
+    assert polled() is None
+    before = deliver(54, session=9)
+    assert [status for *_, status in before] == \
+        ["complete", "complete", "aborted", "aborted", "aborted"]
+    assert deliver(55) == before

@@ -67,11 +67,29 @@ def test_bad_scenario_config_exit(tmp_path):
     json.dumps({"protocol": {"agents": {"A": {"initiator": [
         {"send": {"fresh": "na"}, "to": "B", "msg": 1}]}, "B": {"responder": [
             [{"expect": {"bind": "x", "kind": "bogus"}, "msg": 1}]]}}}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"fresh": "na", "kind": "bogus"}, "to": "B", "msg": 1}]},
+        "B": {}}}}),
 ])
 def test_bad_scenario_input_exit(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main(["run", "--scenario", str(path)]) == 64
+
+
+@pytest.mark.parametrize("key_term, where", [
+    ({"key": "K9"}, "send"),
+    ({"senc": [{"ref": "x"}, {"key": "K9"}]}, "expect"),
+])
+def test_unknown_constant_named(tmp_path, capsys, key_term, where):
+    step = ({"send": key_term, "to": "B", "msg": 1} if where == "send"
+            else {"expect": key_term, "msg": 1})
+    spec = {"protocol": {"constants": {"K": {"symkey": 5}},
+                         "agents": {"A": {"initiator": [step]}, "B": {}}}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--scenario", str(path)]) == 64
+    assert "unknown constant 'K9'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,7 @@ from guardsim.terms import (AsymEnc, AsymKey, Atom, Nonce, Pair,
                             Password, SymEnc, SymKey, comm_enc,
                             inverse_key, succ)
 
-from oracles import closure_oracle
+from oracles import closure_oracle, frontier_analyze
 
 M = Atom(value=1, label="m")
 K = SymKey(value=2, label="k")
@@ -191,3 +191,59 @@ def test_derivable_monotone_under_additions(terms, salt):
     big = KnowledgeSet(list(terms[1:]) + [Atom(value=salt, label="x"), goal])
     if derivable(small, goal):
         assert derivable(big, goal)
+
+
+def layered_chain(rng, length, broken):
+    """A chain of `length` links, each hiding the key that opens the next
+    under a symmetric, asymmetric or commutative layer (some wrapped in a
+    pair or a successor), plus secrets locked under keys learned late and
+    links that never open, shuffled.  A broken chain lacks one link."""
+    opening = [AsymKey(pair_id=1000 + i, private=rng.random() < 0.5,
+                       label=f"K{i}") if rng.random() < 0.4
+               else SymKey(value=1000 + i, label=f"K{i}")
+               for i in range(length + 1)]
+    items = [opening[0]]
+    gap = rng.randrange(length) if broken else -1
+    for i in range(length):
+        lock = inverse_key(opening[i])
+        layer = rng.choice(("plain", "plain", "comm", "pair", "succ"))
+        if layer == "comm":
+            extra = inverse_key(opening[rng.randrange(i + 1)])
+            link = comm_enc(opening[i + 1], [lock, extra])
+        elif isinstance(lock, AsymKey):
+            link = AsymEnc(opening[i + 1], lock)
+        else:
+            link = SymEnc(opening[i + 1], lock)
+        if layer == "pair":
+            link = Pair(Nonce(rng.getrandbits(30), label="X"), link)
+        elif layer == "succ":
+            link = succ(link, 1)
+        if i != gap:
+            items.append(link)
+    for _ in range(length // 4):
+        j = rng.randrange(length + 1)
+        secret = Nonce(rng.getrandbits(30), label="S")
+        items.append(comm_enc(secret, [inverse_key(opening[j]),
+                                       inverse_key(opening[rng.randrange(j + 1)])])
+                     if rng.random() < 0.5 else
+                     AsymEnc(secret, inverse_key(opening[j]))
+                     if isinstance(opening[j], AsymKey)
+                     else SymEnc(secret, opening[j]))
+        items.append(SymEnc(secret, SymKey(value=rng.getrandbits(30) + 10 ** 6,
+                                           label="J")))
+    rng.shuffle(items)
+    return items
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.integers(min_value=50, max_value=150), st.booleans())
+def test_worklist_analysis_matches_frontier_fixpoint(seed, length, broken):
+    items = layered_chain(random.Random(seed), length, broken)
+    assert analyze_terms(items) == frontier_analyze(items)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_knowledge())
+def test_worklist_analysis_matches_frontier_fixpoint_small(terms):
+    assert analyze_terms(terms) == frontier_analyze(terms)
