@@ -24,7 +24,7 @@ def main():
               + ("  <- contains analytic" if est.contains_analytic() else ""))
     print()
     est = monte_carlo_fp(nonce_bits=1024, dataset_size=4, trials=200_000,
-                         seed=42, warm_with_run=False)
+                         seed=42)
     print(f"k=1024: {est.hits} collisions over {est.trials} trials "
           f"(rate {est.empirical}) -- wide nonces make restarts safe.")
 

@@ -400,15 +400,15 @@ class HonestAgent:
     Active sessions are filed by the step they stand at: the keys of the
     sessions whose next step is a send sit in a min-heap, those waiting
     on an expect map to that step, so `poll` and `deliver` visit only
-    sessions that can act, still in ascending key order."""
+    sessions that can act, still in ascending key order.  Once the
+    guardian raises its abort flag (`abort`), the agent opens and
+    advances nothing more."""
 
-    def __init__(self, name: str, knowledge: Optional[KnowledgeSet] = None,
-                 responder_scripts: Sequence[RoleScript] = ()):
+    def __init__(self, name: str, responder_scripts: Sequence[RoleScript] = ()):
         self.name = name
-        self.knowledge = knowledge or KnowledgeSet()
         self.responder_scripts = list(responder_scripts)
         self.sessions: Dict[int, Session] = {}
-        self.flags: Dict[str, bool] = {}
+        self.aborted = False
         self._send_cache: Dict[Tuple[int, int], Tuple[Term, str]] = {}
         self._ready: List[int] = []          # min-heap of send-ready keys
         self._waiting: Dict[int, ExpectStep] = {}   # key -> awaited step
@@ -442,21 +442,21 @@ class HonestAgent:
             self._file(sess)
         return sess
 
-    def set_flag(self, flag: str) -> None:
-        self.flags[flag] = True
-        if flag == "abort":
-            for sess in self.sessions.values():
-                if sess.status == "active":
-                    sess.status = "aborted"
-            self._ready.clear()
-            self._waiting.clear()
+    def abort(self) -> None:
+        """The guardian raised this agent's abort flag: every active
+        session is aborted."""
+        self.aborted = True
+        for sess in self.sessions.values():
+            if sess.status == "active":
+                sess.status = "aborted"
+        self._ready.clear()
+        self._waiting.clear()
 
     def deliver(self, env: Envelope) -> None:
         """Consume a delivered body: advance a waiting session, or open a
         responder session; silently ignore non-matching bodies.  A replay
         of a body already consumed under the same session label never
         opens a second session."""
-        self.knowledge.add(env.body)
         for key in sorted(self._waiting):
             sess = self.sessions[key]
             step = self._waiting[key]
@@ -469,7 +469,7 @@ class HonestAgent:
                 self._consume(sess, env, step.msg)
                 self._file(sess)
                 return
-        if self.flags.get("abort"):
+        if self.aborted:
             return
         if (env.slot.session, wire_view(env.body)) in self._consumed:
             return
@@ -493,7 +493,7 @@ class HonestAgent:
         values are minted once and cached so a proposal that loses
         arbitration re-proposes unchanged; the program counter only
         advances in commit_send."""
-        if self.flags.get("abort") or not self._ready:
+        if self.aborted or not self._ready:
             return None
         key = self._ready[0]
         sess = self.sessions[key]
@@ -564,32 +564,29 @@ class AttackFunction:
 
 
 class AttackerAgent:
-    """Dolev-Yao attacker with spy filters and a scripted attack function.
+    """Dolev-Yao attacker that spies both the inflow and the outflow of
+    the agents it is interested in and runs a scripted attack function.
 
     variant:
       proceed  - runs the function, shadows identical rival moves
       divert   - additionally takes known-dishonest rivals' forgeries
                  off the wire (the interference game)
-      abort-on-rival - withdraws entirely once a rival is confirmed
     """
 
     def __init__(self, name: str, interest: Sequence[str],
                  function: Optional[AttackFunction] = None,
-                 filters: Sequence[str] = ("inflow", "outflow"),
                  variant: str = "proceed",
                  awareness: Optional[Dict[str, str]] = None,
                  knowledge: Optional[KnowledgeSet] = None):
         self.name = name
         self.interest = set(interest)
         self.function = function
-        self.filters = set(filters)
         self.variant = variant
         self.awareness = dict(awareness or {})
         self.knowledge = knowledge or KnowledgeSet()
         self.bindings: Dict[str, Term] = {}
         self.step_ptr = 0
         self.engaged = False
-        self.withdrawn = False
         # seqs of the envelopes this attacker let pass once (hesitation)
         self.hesitations: Set[int] = set()
         # seq -> step at which it left that envelope's erase to a rival
@@ -601,9 +598,8 @@ class AttackerAgent:
         """Spy an envelope passing this attacker's station through the
         inflow/outflow filters; True iff a filter caught it.  Filters go
         by perceived identities: masquerades fool rival interceptors too."""
-        inflow = "inflow" in self.filters and env.receiver in self.interest
-        outflow = ("outflow" in self.filters
-                   and env.claimed_sender in self.interest)
+        inflow = env.receiver in self.interest
+        outflow = env.claimed_sender in self.interest
         if inflow:
             self.spy(env, "inflow")
         if outflow:
@@ -635,18 +631,15 @@ class AttackerAgent:
         if not env.injected or env.true_sender == self.name:
             return
         rival = env.true_sender
-        if env.claimed_sender != rival:
-            # A witnessed masquerade settles an unsure opinion, but the
-            # envelope that revealed it gets a free pass (hesitation).
-            if self.awareness.get(rival) == "unsure":
-                self.awareness[rival] = "dishonest"
-                self.hesitations.add(env.seq)
-            if self.variant == "abort-on-rival" and \
-                    self.awareness.get(rival) == "dishonest":
-                self.withdrawn = True
+        # A witnessed masquerade settles an unsure opinion, but the
+        # envelope that revealed it gets a free pass (hesitation).
+        if env.claimed_sender != rival and \
+                self.awareness.get(rival) == "unsure":
+            self.awareness[rival] = "dishonest"
+            self.hesitations.add(env.seq)
 
     def _observe(self, env: Envelope) -> None:
-        while not self.withdrawn and self.function is not None:
+        while self.function is not None:
             step = self.current_step()
             if not isinstance(step, ObserveStep):
                 break
@@ -689,7 +682,7 @@ class AttackerAgent:
         rivals placed before this attacker: a vigilant unengaged attacker
         leaves an erase to one it suspects and that sees the envelope,
         and records the deferral instead of proposing."""
-        if self.withdrawn or any(seq in self.hesitations for seq in pending):
+        if any(seq in self.hesitations for seq in pending):
             return None   # watches while a hesitated-on envelope is in flight
         rival_env = self._rival_target(pending)
         if rival_env is not None:

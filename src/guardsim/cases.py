@@ -71,8 +71,7 @@ def classify(result_sim, attackers) -> Tuple[str, str, Dict[str, str]]:
                 if env.injected and env.true_sender != env.claimed_sender:
                     injectors.add(env.true_sender)
                     shadows |= set(env.sender_credits)
-    detail = {a.name: ("withdrawn" if a.withdrawn else
-                       "completed" if a.current_step() is None else
+    detail = {a.name: ("completed" if a.current_step() is None else
                        f"stalled at step {a.step_ptr + 1}")
               for a in attackers}
     if not injectors:

@@ -29,6 +29,10 @@ class EnumerationReport:
     deceptions_detected: int = 0
 
 
+# only the first distinct spied terms are offered for injection
+MAX_INJECT_TERMS = 6
+
+
 class ScriptedAttacker(AttackerAgent):
     """Attacker driven by an explicit choice sequence.
 
@@ -39,8 +43,7 @@ class ScriptedAttacker(AttackerAgent):
     menu is recorded as the frontier."""
 
     def __init__(self, name: str, interest, masks: Dict[str, str],
-                 choices: Sequence[Tuple], knowledge=None,
-                 max_inject_terms: int = 6):
+                 choices: Sequence[Tuple], knowledge=None):
         super().__init__(name=name, interest=interest, function=None,
                          variant="proceed", knowledge=knowledge)
         self.masks = dict(masks)            # receiver -> claimed identity
@@ -51,7 +54,6 @@ class ScriptedAttacker(AttackerAgent):
         self._spied_keys: Set[object] = set()
         self.next_session = 2
         self.session_of: Dict[object, int] = {}
-        self.max_inject_terms = max_inject_terms
 
     def spy(self, env: Envelope, direction: str) -> None:
         super().spy(env, direction)
@@ -67,7 +69,7 @@ class ScriptedAttacker(AttackerAgent):
     def options(self, pending) -> List[Tuple]:
         opts: List[Tuple] = [("erase", i)
                              for i in range(len(self._visible(pending)))]
-        for j in range(min(len(self.spied_terms), self.max_inject_terms)):
+        for j in range(min(len(self.spied_terms), MAX_INJECT_TERMS)):
             for receiver in sorted(self.masks):
                 opts.append(("inject", j, receiver))
         return opts
@@ -107,8 +109,7 @@ class ScriptedAttacker(AttackerAgent):
 
 def _run_with_choices(case, kind: str, choices: Sequence[Tuple],
                       seed: int, max_visible: int):
-    wiring = case.wire(kind=kind, guardian=True,
-                       attack=case.attack_names[0], seed=seed)
+    wiring = case.wire(kind=kind, guardian=True, attack=case.attack_names[0])
     scripted = ScriptedAttacker(
         name="E", interest=list(wiring.attackers[0].interest),
         masks=case.masks, choices=choices,

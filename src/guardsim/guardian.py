@@ -51,7 +51,6 @@ class Distinguisher:
 class StoreEntry:
     term: Term
     labels: Set[str]
-    first_rev: int
     last_rev: int
     sources: Set[Tuple[str, str]] = field(default_factory=set)
     p_rev: Optional[int] = None   # revision that first labelled it P
@@ -76,7 +75,6 @@ class GuardianStore:
         entry = self.entries.get(key)
         if entry is None:
             entry = StoreEntry(term=term, labels=set(labels),
-                               first_rev=self.revision,
                                last_rev=self.revision)
             self.entries[key] = entry
             for part in {key if c is term else wire_view(c)
@@ -95,8 +93,8 @@ class GuardianStore:
         """A copy of D_G that later adds leave unchanged.  The simulator
         and Monte Carlo read the live store; the benchmark tracer still
         wraps this method by name."""
-        return [StoreEntry(e.term, set(e.labels), e.first_rev, e.last_rev,
-                           set(e.sources), e.p_rev)
+        return [StoreEntry(e.term, set(e.labels), e.last_rev, set(e.sources),
+                           e.p_rev)
                 for e in self.entries.values()]
 
     def labeled_terms(self, label: str = "P") -> List[Term]:
@@ -303,16 +301,17 @@ class InjectFake:
 PlanItem = Union[Erase, InjectFake, ResilientSignal]
 GuardianAction = Union[Erase, Inject, ResilientSignal]
 
+FAKE_BITS = 64   # width of the guardian's fake values
+
 
 class Guardian:
-    """Runtime guardian bound to one simulation."""
+    """Runtime guardian bound to one simulation.  The simulator reseeds
+    `rng`, which draws the fake values."""
 
     def __init__(self, name: str, filters: Sequence[GuardianFilter],
                  ident: Distinguisher, crit: Distinguisher,
                  invariant: InvariantSpec, plan: InterferencePlan,
-                 window: Optional[int] = None,
-                 rng: Optional[random.Random] = None,
-                 fake_bits: int = 64):
+                 window: Optional[int] = None):
         self.name = name
         self.filters = list(filters)
         self.ident = ident
@@ -320,8 +319,7 @@ class Guardian:
         self.invariant = invariant
         self.plan = plan
         self.window = window
-        self.rng = rng or random.Random(0)
-        self.fake_bits = fake_bits
+        self.rng = random.Random(0)
         # False when the topology hides the legs this invariant judges
         # by: the guardian then cannot characterize attacks and forwards.
         self.invariant_operative = True
@@ -330,11 +328,15 @@ class Guardian:
         self.pending: List[PlanItem] = []    # the interference plan queue
         # fires only at quiescence, once the queue is empty
         self.deferred_abort: Optional[ResilientSignal] = None
-        self.interference_count = 0
         self.fake_value_override: Optional[int] = None
         self.plan_envelopes: List[int] = []  # seqs of own injected fakes
 
-    # -- FSM paths, read off the module log --
+    # -- FSM paths and counts, read off the module log --
+
+    @property
+    def interference_count(self) -> int:
+        """How many spied envelopes made the invariant fire."""
+        return sum(1 for row in self.module_log if row.inv)
 
     @property
     def ident_fsm_log(self) -> List[str]:
@@ -366,6 +368,19 @@ class Guardian:
                 out.append(f)
         return out
 
+    def control(self, m: Term) -> Tuple[int, Optional[int]]:
+        """The Control module's verdict on `m`: its criticality and, for
+        a critical message, whether the invariant fires over D_G as it
+        stands (None for a message that is not critical)."""
+        crit = self.crit(m)
+        if not crit:
+            return crit, None
+        if not self.invariant_operative:
+            return crit, 0
+        return crit, self.invariant.evaluate(
+            m, self.invariant.candidates(m, self.store), self.crit,
+            self.window, self.store.revision + 1)
+
     def process(self, env: Envelope) -> bool:
         """Run the modules on a spied envelope; True iff interference was
         queued for it.  The invariant judges the dataset as it stood
@@ -377,12 +392,7 @@ class Guardian:
         ident_val = self.ident(m)
         crit_val = inv_val = None
         if ident_val and any(f.control for f in filters):
-            crit_val = self.crit(m)
-            if crit_val:
-                inv_val = self.invariant.evaluate(
-                    m, self.invariant.candidates(m, self.store), self.crit,
-                    self.window, self.store.revision + 1
-                ) if self.invariant_operative else 0
+            crit_val, inv_val = self.control(m)
         entry = self.store.add(m, {"P"} if ident_val else set(),
                                source=(filters[0].direction, filters[0].target))
         if crit_val:
@@ -453,8 +463,8 @@ class Guardian:
                 value = self.fake_value_override
                 self.fake_value_override = None
             else:
-                value = self.rng.getrandbits(self.fake_bits)
-            term = (Nonce(value=value, width=self.fake_bits, label=spec.label)
+                value = self.rng.getrandbits(FAKE_BITS)
+            term = (Nonce(value=value, width=FAKE_BITS, label=spec.label)
                     if spec.kind == "nonce"
                     else Atom(value=value, label=spec.label))
             if wire_view(term) not in self.store.entries:
@@ -463,7 +473,6 @@ class Guardian:
     def _queue_plan(self, env: Envelope) -> None:
         """Expand the interference plan into queue items bound to the
         captured envelope."""
-        self.interference_count += 1
         bindings: Dict[str, Term] = {"captured": env.body}
         if self.plan.trigger_pattern is not None:
             got = match(self.plan.trigger_pattern, env.body, {})

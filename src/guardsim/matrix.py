@@ -89,21 +89,10 @@ class MatrixReport:
 
 
 def evaluate_cell(case, kind: str, seed: int = 0) -> Cell:
-    wiring = case.wire(kind=kind, guardian=True,
-                       attack=case.attack_names[0], seed=seed)
-    adv = topological_advantage(wiring.topology, "G", case.defended_agent,
-                                case.monitored_slots,
-                                [a.name for a in wiring.attackers])
-    idm = is_defense_mechanism(
-        wiring.topology, "G", case.defended_agent, case.monitored_slots,
-        [a.name for a in wiring.attackers],
-        case.attacks[case.attack_names[0]].function(),
-        case.inverse_table or None, case.inverse_samples or None)
-
     fn_by_attack: Dict[str, int] = {}
     interfered: Dict[str, bool] = {}
     for attack in case.attack_names:
-        w = case.wire(kind=kind, guardian=True, attack=attack, seed=seed)
+        w = case.wire(kind=kind, guardian=True, attack=attack)
         try:
             result = w.simulator(seed=seed).run()
         except BudgetExceeded:
@@ -114,6 +103,15 @@ def evaluate_cell(case, kind: str, seed: int = 0) -> Cell:
         fn_by_attack[attack] = outcome.false_negatives
         interfered[attack] = (outcome.interference_count > 0
                               or result.aborted_by_guardian)
+
+    # every attack is wired on the same layout with the same attacker
+    attackers = [a.name for a in w.attackers]
+    adv = topological_advantage(w.topology, "G", case.defended_agent,
+                                case.monitored_slots, attackers)
+    idm = is_defense_mechanism(
+        w.topology, "G", case.defended_agent, case.monitored_slots,
+        attackers, case.attacks[case.attack_names[0]].function(),
+        case.inverse_table or None, case.inverse_samples or None)
 
     witness = None
     gap = case.matrix_fn_witness(kind, seed) if case.matrix_fn_witness else False

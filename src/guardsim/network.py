@@ -88,7 +88,6 @@ class Deliver:
 class ResilientSignal:
     guardian: str
     target: str
-    flag: str = "abort"
     label: str = ""
     style: str = "abort"     # "abort": "X aborts" | "raise": flag text
 

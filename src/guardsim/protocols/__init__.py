@@ -32,5 +32,5 @@ def honest_run(name: str, seed: int = 0):
     """Simulate the protocol with honest agents only (the baseline for
     false-positive measurements); returns the completed SimResult."""
     case = builtin(name)
-    wiring = case.wire(guardian=False, attack=None, seed=seed)
+    wiring = case.wire(guardian=False, attack=None)
     return wiring.simulator(seed=seed).run()

@@ -53,14 +53,15 @@ class Attack:
 class CaseStudy:
     """A built-in protocol with its documented defense profile.
 
-    `wire(kind, guardian, attack, seed, nonce_bits, **guardian_kw)`
-    assembles a run: kind None uses the study's home topology; attack
-    None runs honestly, and "classic" names the first attack of a study
-    whose attacks have other names.  Honest agents are built from
-    `roles`, in order; A starts `initiator` toward B as session 1; the
-    attacker E watches `attacker_interest`, knows `attacker_knowledge`
-    and the chosen attack's own terms; `make_guardian(topology,
-    **guardian_kw)` builds the guardian for the layout in use.
+    `wire(kind, guardian, attack)` assembles a run; the seed and the
+    nonce width are the simulator's (`Wiring.simulator`).  Kind None
+    uses the study's home topology, and any other kind must be one of
+    `applicable_kinds()`; attack None runs honestly, and "classic" names
+    the first attack of a study whose attacks have other names.  Honest
+    agents are built from `roles`, in order; A starts `initiator` toward
+    B as session 1; the attacker E watches `attacker_interest`, knows
+    `attacker_knowledge` and the chosen attack's own terms;
+    `make_guardian(topology)` builds the guardian for the layout in use.
     """
     name: str
     defended_agent: str
@@ -69,7 +70,7 @@ class CaseStudy:
     roles: Dict[str, Tuple[Callable[[], RoleScript], ...]]
     initiator: Callable[[str], RoleScript]
     attacks: Dict[str, Attack]
-    make_guardian: Callable[..., Guardian]
+    make_guardian: Callable[[Topology], Guardian]
     attacker_interest: Tuple[str, ...]
     attacker_knowledge: Tuple[Term, ...] = ()
     conditional_topologies: Dict[str, str] = field(default_factory=dict)
@@ -104,6 +105,16 @@ class CaseStudy:
     def applicable_kinds(self) -> Tuple[str, ...]:
         return ("A", "B") if len(self.roles) == 2 else ("C", "D", "E", "F")
 
+    def checked_kind(self, kind: Optional[str]) -> str:
+        """`kind`, or the home topology for None; a layout without the
+        channels this study's roles use is refused."""
+        kind = kind or self.home_topology
+        if kind.upper() not in self.applicable_kinds():
+            raise ConfigError(f"{self.name} runs on topologies "
+                              f"{', '.join(self.applicable_kinds())}, "
+                              f"not {kind!r}")
+        return kind
+
     def _attack(self, name: Optional[str]) -> Optional[Attack]:
         if not name:
             return None
@@ -115,8 +126,8 @@ class CaseStudy:
         return self.attacks[name]
 
     def _wire(self, kind: Optional[str] = None, guardian: bool = True,
-              attack: Optional[str] = "classic", seed: int = 0,
-              nonce_bits: int = 64, **guardian_kw) -> Wiring:
+              attack: Optional[str] = "classic") -> Wiring:
+        kind = self.checked_kind(kind)
         chosen = self._attack(attack)
         attackers = []
         if chosen is not None:
@@ -124,8 +135,7 @@ class CaseStudy:
             attackers = [AttackerAgent("E", interest=self.attacker_interest,
                                        function=chosen.function(),
                                        variant="proceed", knowledge=ks)]
-        topo = base_topology(kind or self.home_topology,
-                             honest=tuple(self.roles), attackers=("E",),
+        topo = base_topology(kind, honest=tuple(self.roles), attackers=("E",),
                              guardian="G" if guardian else None)
         honest = [HonestAgent(name, responder_scripts=[r() for r in roles])
                   for name, roles in self.roles.items()]
@@ -133,6 +143,5 @@ class CaseStudy:
         if chosen is None or chosen.honest_run:
             initiators.append(("A", self.initiator("B"), 1))
         return Wiring(topology=topo, honest=honest, attackers=attackers,
-                      guardian=(self.make_guardian(topo, **guardian_kw)
-                                if guardian else None),
+                      guardian=self.make_guardian(topo) if guardian else None,
                       initiators=initiators, victim=self.defended_agent)

@@ -163,8 +163,8 @@ def a_scope_gap(kind: str = "D", seed: int = 0) -> bool:
     """The documented partiality: the reply-swap variant deceives A even
     while B stays protected."""
     from ..scenario import evaluate
-    res = CASE.wire(kind=kind, guardian=True, attack="trace-2",
-                    seed=seed).simulator(seed=seed).run()
+    res = CASE.wire(kind=kind, guardian=True,
+                    attack="trace-2").simulator(seed=seed).run()
     return evaluate(res, "A", True).false_negatives > 0
 
 

@@ -76,8 +76,7 @@ def make_attacker(name: str = "E", variant: str = "proceed",
     ks = KnowledgeSet([AgentId("A"), AgentId("B"), *seed_knowledge])
     return AttackerAgent(name=name, interest=["A"],
                          function=classic_attack(slots=slots),
-                         filters=("inflow", "outflow"), variant=variant,
-                         awareness=awareness, knowledge=ks)
+                         variant=variant, awareness=awareness, knowledge=ks)
 
 
 def make_guardian() -> Guardian:

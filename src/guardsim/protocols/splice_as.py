@@ -225,7 +225,7 @@ CASE = register(CaseStudy(
     roles={"A": (), "B": (b_responder_script,), "AS": (server_script,)},
     initiator=initiator_script,
     attacks={"classic": Attack(classic_attack)},
-    make_guardian=lambda topology, **kw: make_guardian(**kw),
+    make_guardian=lambda topology: make_guardian(),
     attacker_interest=("A", "B", "AS", "E"),
     attacker_knowledge=(AgentId("A"), AgentId("B"), AgentId("AS"),
                         AgentId("E"), K_E_PRIV, K_E_PUB, K_A_PUB, K_B_PUB,

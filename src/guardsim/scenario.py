@@ -197,11 +197,12 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     from .protocols import builtin
     if config.nonce_bits < 0:
         raise ConfigError("nonce_bits must not be negative")
+    if config.max_steps < 1:
+        raise ConfigError("max_steps must be at least 1")
     if isinstance(config.protocol, str):
         case = builtin(config.protocol)
         wiring = case.wire(kind=config.topology, guardian=config.guardian,
-                           attack=config.attack, seed=config.seed,
-                           nonce_bits=config.nonce_bits)
+                           attack=config.attack)
         victim = wiring.victim
         extra = case.success_extra
         attack_present = bool(config.attack)
@@ -240,8 +241,7 @@ def export_builtin(name: str, topology: Optional[str] = None,
     path can re-run every builtin)."""
     from .protocols import builtin
     case = builtin(name)
-    cfg = ScenarioConfig(protocol=name,
-                         topology=topology or case.home_topology,
+    cfg = ScenarioConfig(protocol=name, topology=case.checked_kind(topology),
                          guardian=True, attack=case.attack_names[0],
                          seed=seed)
     return cfg.to_dict()

@@ -206,7 +206,7 @@ class Simulator:
         if (g.name, prop.target) not in self.topology.resilient_links:
             raise ConfigError(
                 f"no resilient link {g.name}->{prop.target}; the defense requires one")
-        self.honest[prop.target].set_flag(prop.flag)
+        self.honest[prop.target].abort()
         self.trace.add_signal(prop)
         self.aborted = True
 

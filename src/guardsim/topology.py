@@ -48,15 +48,34 @@ class Topology:
         e = _edge(a, b)
         return e if e in self.stations else None
 
+    def _stations_from(self, src: str, dst: str
+                       ) -> Optional[List[FrozenSet[str]]]:
+        """The src<->dst channel's stations in order from src's side, or
+        None when there is no such channel."""
+        e = self.edge_between(src, dst)
+        if e is None:
+            return None
+        groups = self.stations[e]
+        return groups if e[0] == src else groups[::-1]
+
+    def _injection_stretch(self, injector: str, receiver: str
+                           ) -> Optional[List[FrozenSet[str]]]:
+        """The stations an injection crosses from the injector's own
+        station to `receiver`, in that order, or None when the injector
+        cannot reach `receiver`."""
+        spot = self.station_of(injector, receiver)
+        if spot is None:
+            return None
+        edge, idx = spot
+        groups = self.stations[edge]
+        return groups[idx::-1] if edge[0] == receiver else groups[idx:]
+
     def observers_for_send(self, sender: str, receiver: str) -> List[str]:
         """Interceptors able to spy an honest send sender->receiver,
         in transit order from the sender's side."""
-        e = self.edge_between(sender, receiver)
-        if e is None:
+        groups = self._stations_from(sender, receiver)
+        if groups is None:
             raise ConfigError(f"no channel between {sender} and {receiver}")
-        groups = self.stations[e]
-        if e[0] != sender:
-            groups = list(reversed(groups))
         out: List[str] = []
         for group in groups:
             out.extend(sorted(group))
@@ -75,15 +94,9 @@ class Topology:
         message travelling from the injector's station to `receiver`.
         Co-located interceptors see it; stations beyond the injector,
         away from the receiver, do not."""
-        spot = self.station_of(injector, receiver)
-        if spot is None:
+        stretch = self._injection_stretch(injector, receiver)
+        if stretch is None:
             raise ConfigError(f"{injector} cannot reach {receiver}")
-        edge, idx = spot
-        groups = self.stations[edge]
-        if edge[0] == receiver:
-            stretch = list(reversed(groups[:idx + 1]))
-        else:
-            stretch = groups[idx:]
         out: List[str] = []
         for group in stretch:
             out.extend(sorted(w for w in group if w != injector))
@@ -102,26 +115,13 @@ class Topology:
     def sees_first(self, who: str, src: str, dst: str) -> bool:
         """True iff `who` holds the station nearest `src` on the src->dst
         channel: nobody can take src's traffic before `who` records it."""
-        e = self.edge_between(src, dst)
-        if e is None:
-            return False
-        groups = self.stations[e]
-        if e[0] != src:
-            groups = list(reversed(groups))
+        groups = self._stations_from(src, dst)
         return bool(groups) and who in groups[0]
 
     def guards_injection(self, guardian: str, injector: str, receiver: str) -> bool:
         """True iff every injection by `injector` toward `receiver`
         crosses (or shares a station with) the guardian."""
-        spot = self.station_of(injector, receiver)
-        if spot is None:
-            return False
-        edge, idx = spot
-        groups = self.stations[edge]
-        if edge[0] == receiver:
-            stretch = groups[:idx + 1]
-        else:
-            stretch = groups[idx:]
+        stretch = self._injection_stretch(injector, receiver) or []
         return any(guardian in g for g in stretch)
 
 

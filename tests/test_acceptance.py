@@ -100,7 +100,7 @@ def test_criterion_5_fp_probability():
     ok_small = (est.analytic == 4 / 256 and est.contains_analytic()
                 and elapsed < 30.0)
     est_big = monte_carlo_fp(nonce_bits=1024, dataset_size=4,
-                             trials=1_000_000, seed=42, warm_with_run=False)
+                             trials=1_000_000, seed=42)
     ok = ok_small and est_big.hits == 0
     report(5, ok, f"k=8,|D_G|=4: rate {est.empirical:.6f} vs 4/256="
                   f"{est.analytic:.6f}, Wilson [{est.wilson_low:.6f},"

@@ -175,7 +175,7 @@ def test_interleaved_sessions_act_in_ascending_key_order():
     assert deliver(53, session=8)[-1] == (5, 1, "active")
     # ... and its replay under the same label opens none
     assert len(deliver(53, session=8)) == 5
-    agent.set_flag("abort")
+    agent.abort()
     assert polled() is None
     before = deliver(54, session=9)
     assert [status for *_, status in before] == \

@@ -1,0 +1,40 @@
+"""The benchmark's span tracer still finds every name it wraps.
+
+`benchmarks/tracing.py` patches guardsim's layer boundaries by name, so
+deleting or renaming one of them breaks the traced benchmark run; this
+test makes that show in the suite."""
+
+import importlib.util
+from pathlib import Path
+
+from test_protocols import ISO_INTERFERENCE
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores():
+    from guardsim import agents, guardian
+    from guardsim.protocols import iso_sc27
+
+    process = guardian.Guardian.__dict__["process"]
+    match, wire = agents.match, iso_sc27.wire
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert guardian.Guardian.__dict__["process"] is not process
+        assert agents.match is not match and iso_sc27.wire is not wire
+        result = iso_sc27.wire(guardian=True,
+                               attack="classic").simulator(seed=5).run()
+    finally:
+        tracer.uninstall()
+    assert result.trace.lines() == ISO_INTERFERENCE
+    assert guardian.Guardian.__dict__["process"] is process
+    assert agents.match is match
+    assert iso_sc27.wire is wire

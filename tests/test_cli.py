@@ -70,6 +70,12 @@ def test_bad_scenario_config_exit(tmp_path):
     json.dumps({"protocol": {"agents": {"A": {"initiator": [
         {"send": {"fresh": "na", "kind": "bogus"}, "to": "B", "msg": 1}]},
         "B": {}}}}),
+    json.dumps({"protocol": "iso-sc-27", "max_steps": 0}),
+    json.dumps({"protocol": "iso-sc-27", "max_steps": -5}),
+    json.dumps({"protocol": "splice-as", "topology": "B"}),
+    json.dumps({"protocol": "otway-rees", "topology": "A"}),
+    json.dumps({"protocol": "iso-sc-27", "topology": "C"}),
+    json.dumps({"protocol": "iso-sc-27", "topology": "Z"}),
 ])
 def test_bad_scenario_input_exit(tmp_path, text):
     path = tmp_path / "bad.json"
@@ -101,6 +107,8 @@ def test_unknown_constant_named(tmp_path, capsys, key_term, where):
      "--dataset-size", "5"],
     ["montecarlo", "--trials", "1", "--nonce-bits", "-1"],
     ["matrix", "--topologies", "Z"],
+    ["export-builtin", "iso-sc-27", "--topology", "Z"],
+    ["export-builtin", "splice-as", "--topology", "B"],
 ])
 def test_bad_arguments_exit(argv):
     assert main(argv) == 64

@@ -149,7 +149,7 @@ def test_resilient_signal_requires_link_and_guardian():
         sim._apply_signal(ResilientSignal(guardian="G", target="B", label="x"))
     # a valid signal on an idle agent just stores the flag
     sim._apply_signal(ResilientSignal(guardian="G", target="A", label="x"))
-    assert sim.honest["A"].flags["abort"]
+    assert sim.honest["A"].aborted
 
 
 # -- the candidate lookup judges like a scan of all of D_G -------------------
@@ -279,7 +279,6 @@ def test_monte_carlo_trial_passes_at_most_one_entry(monkeypatch):
         return evaluate(self, m, entries, *rest)
 
     monkeypatch.setattr(InvariantSpec, "evaluate", counting)
-    est = monte_carlo_fp(nonce_bits=8, dataset_size=128, trials=200, seed=1,
-                         warm_with_run=False)
+    est = monte_carlo_fp(nonce_bits=8, dataset_size=128, trials=200, seed=1)
     assert len(sizes) == 200 and max(sizes) <= 1
     assert sum(sizes) == est.hits

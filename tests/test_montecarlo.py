@@ -20,14 +20,12 @@ def test_small_width_interval_contains_analytic():
 
 
 def test_empty_dataset_never_collides():
-    est = monte_carlo_fp(nonce_bits=8, dataset_size=0, trials=2_000, seed=7,
-                         warm_with_run=False)
+    est = monte_carlo_fp(nonce_bits=8, dataset_size=0, trials=2_000, seed=7)
     assert est.hits == 0 and est.empirical == 0.0
 
 
 def test_wide_nonces_rate_zero():
-    est = monte_carlo_fp(nonce_bits=64, dataset_size=4, trials=20_000, seed=7,
-                         warm_with_run=False)
+    est = monte_carlo_fp(nonce_bits=64, dataset_size=4, trials=20_000, seed=7)
     assert est.hits == 0
 
 
@@ -40,11 +38,20 @@ def test_impossible_dataset_rejected():
     # four 2-bit nonces exist; a fifth distinct one would be drawn forever
     for bits, size in ((2, 5), (-1, 0), (8, -3)):
         with pytest.raises(ConfigError):
-            monte_carlo_fp(nonce_bits=bits, dataset_size=size, trials=1,
-                           warm_with_run=False)
-    est = monte_carlo_fp(nonce_bits=2, dataset_size=4, trials=100,
-                         warm_with_run=False)
+            monte_carlo_fp(nonce_bits=bits, dataset_size=size, trials=1)
+    est = monte_carlo_fp(nonce_bits=2, dataset_size=4, trials=100)
     assert est.hits == 100
+
+
+@pytest.mark.parametrize("bits, size, trials, seed, hits", [
+    (8, 4, 20_000, 7, 342),
+    (12, 256, 1_500, 1, 96),
+    (8, 128, 200, 1, 95),
+])
+def test_pinned_hit_counts(bits, size, trials, seed, hits):
+    est = monte_carlo_fp(nonce_bits=bits, dataset_size=size, trials=trials,
+                         seed=seed)
+    assert est.hits == hits
 
 
 def test_deterministic_given_seed():

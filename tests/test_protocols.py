@@ -44,6 +44,22 @@ def test_wire_rejects_unknown_attack(name):
     assert not case.wire(attack=None).attackers
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_wire_rejects_layouts_outside_applicable_kinds(name):
+    from guardsim.scenario import export_builtin
+    from guardsim.topology import TOPOLOGY_KINDS
+    case = builtin(name)
+    for kind in TOPOLOGY_KINDS + ("Z",):
+        if kind in case.applicable_kinds():
+            assert case.wire(kind=kind).topology.vertices
+            assert export_builtin(name, topology=kind)["topology"] == kind
+            continue
+        with pytest.raises(ConfigError, match="runs on topologies"):
+            case.wire(kind=kind)
+        with pytest.raises(ConfigError, match="runs on topologies"):
+            export_builtin(name, topology=kind)
+
+
 def test_partial_iff_fn_conditions():
     for name in builtin_names():
         case = builtin(name)
@@ -566,8 +582,10 @@ def test_bme_partiality_a_scope():
 def test_bme_fp_window_expiry():
     # a benign ticket reaching B after the window moved: stopped although
     # no attacker exists
+    from guardsim.protocols import bme
     case = builtin("bme-fixed")
-    wiring = case.wire(guardian=True, attack=None, window=1)
+    wiring = case.wire(guardian=True, attack=None)
+    wiring.guardian = bme.make_guardian(wiring.topology, window=1)
     result = wiring.simulator(seed=5).run()
     outcome = evaluate(result, "B", False, case.success_extra)
     assert outcome.false_positives > 0
