@@ -1,10 +1,12 @@
 """Protocol role machines and attackers.
 
-Honest agents run scripted roles: alternating expect/send steps over a
-small pattern and template language.  They accept any well-typed body
-matching the expected pattern -- that looseness is what lets an attacker
-use an agent as an oracle in parallel-session attacks, and type flaws are
-modelled as loose bindings.
+Honest agents run scripted roles: alternating expect/send steps over one
+node language, read as a pattern by `match` and as a template by
+`instantiate`; role-only nodes are prefixed (P for patterns, T for
+templates).  They accept any well-typed body matching the expected
+pattern -- that looseness is what lets an attacker use an agent as an
+oracle in parallel-session attacks, and type flaws are modelled as loose
+bindings.
 
 Attackers spy a selection of the traffic (inflow/outflow filters per
 target), run a step-indexed attack function, may masquerade, and react
@@ -31,6 +33,51 @@ from .terms import (AgentId, Atom, AsymEnc, AsymKey, CommEnc, Nonce,
                     KEY_TYPES, LEAF_TYPES)
 
 
+# -- shared nodes: both `match` and `instantiate` read these ----------------
+# (each rejects the other role's prefixed nodes with a TypeError)
+
+@dataclass(frozen=True)
+class Const:
+    term: Term
+
+
+@dataclass(frozen=True)
+class Ref:
+    """The term bound under `name` earlier in the script."""
+    name: str
+
+
+@dataclass(frozen=True)
+class Seq:
+    """A message list, the items of a flattened pair chain."""
+    items: Tuple[object, ...]
+
+
+@dataclass(frozen=True)
+class Enc:
+    """Symmetric encryption of `payload` under `key`."""
+    payload: object
+    key: object
+
+
+@dataclass(frozen=True)
+class AEnc:
+    """Asymmetric encryption of `payload` under `key`."""
+    payload: object
+    key: object
+
+
+@dataclass(frozen=True)
+class Inc:
+    """The successor `base` + `offset`."""
+    base: object
+    offset: int
+
+
+def seq(*items) -> Seq:
+    return Seq(tuple(items))
+
+
 # -- patterns ---------------------------------------------------------------
 
 KIND_CHECKS: Dict[str, Callable[[Term], bool]] = {
@@ -46,24 +93,9 @@ KIND_CHECKS: Dict[str, Callable[[Term], bool]] = {
 
 
 @dataclass(frozen=True)
-class PConst:
-    term: Term
-
-
-@dataclass(frozen=True)
-class PRef:
-    name: str
-
-
-@dataclass(frozen=True)
 class PBind:
     name: str
     kind: str = "any"
-
-
-@dataclass(frozen=True)
-class PList:
-    items: Tuple[object, ...]
 
 
 @dataclass(frozen=True)
@@ -74,36 +106,14 @@ class PPair:
     right: object
 
 
-@dataclass(frozen=True)
-class PSymEnc:
-    payload: object
-    key: object
-
-
-@dataclass(frozen=True)
-class PAsymEnc:
-    payload: object
-    key: object
-
-
-@dataclass(frozen=True)
-class PSucc:
-    base: object
-    offset: int
-
-
-def plist(*items) -> PList:
-    return PList(tuple(items))
-
-
 def match(pattern, term: Term, bindings: Dict[str, Term]) -> Optional[Dict[str, Term]]:
     """Match `term` against `pattern`, extending a copy of `bindings`;
     None on mismatch.  Value comparisons (constants, back-references,
     successor checks) are wire-level -- agents compare received bits, so
     a colliding value passes even if its symbolic kind differs."""
-    if isinstance(pattern, PConst):
+    if isinstance(pattern, Const):
         return dict(bindings) if wire_eq(term, pattern.term) else None
-    if isinstance(pattern, PRef):
+    if isinstance(pattern, Ref):
         bound = bindings.get(pattern.name)
         return dict(bindings) if bound is not None and wire_eq(term, bound) \
             else None
@@ -113,7 +123,7 @@ def match(pattern, term: Term, bindings: Dict[str, Term]) -> Optional[Dict[str, 
         out = dict(bindings)
         out[pattern.name] = term
         return out
-    if isinstance(pattern, PList):
+    if isinstance(pattern, Seq):
         items = pair_items(term)
         if len(items) != len(pattern.items):
             return None
@@ -131,29 +141,29 @@ def match(pattern, term: Term, bindings: Dict[str, Term]) -> Optional[Dict[str, 
         if out is None:
             return None
         return match(pattern.right, term.right, out)
-    if isinstance(pattern, PSymEnc):
+    if isinstance(pattern, Enc):
         if not isinstance(term, SymEnc):
             return None
         out = match(pattern.key, term.key, bindings)
         if out is None:
             return None
         return match(pattern.payload, term.payload, out)
-    if isinstance(pattern, PAsymEnc):
+    if isinstance(pattern, AEnc):
         if not isinstance(term, AsymEnc):
             return None
         out = match(pattern.key, term.key, bindings)
         if out is None:
             return None
         return match(pattern.payload, term.payload, out)
-    if isinstance(pattern, PSucc):
+    if isinstance(pattern, Inc):
         if isinstance(term, Succ) and term.offset == pattern.offset:
             return match(pattern.base, term.base, bindings)
         # wire fallback: a bare value equal to base+offset passes the
         # increment check (bits are bits)
         expected = None
-        if isinstance(pattern.base, PRef):
+        if isinstance(pattern.base, Ref):
             expected = bindings.get(pattern.base.name)
-        elif isinstance(pattern.base, PConst):
+        elif isinstance(pattern.base, Const):
             expected = pattern.base.term
         if expected is not None and wire_eq(term, succ(expected, pattern.offset)):
             return dict(bindings)
@@ -162,16 +172,6 @@ def match(pattern, term: Term, bindings: Dict[str, Term]) -> Optional[Dict[str, 
 
 
 # -- templates --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TConst:
-    term: Term
-
-
-@dataclass(frozen=True)
-class TRef:
-    name: str
-
 
 @dataclass(frozen=True)
 class TFresh:
@@ -185,32 +185,9 @@ class TFresh:
 
 
 @dataclass(frozen=True)
-class TList:
-    items: Tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class TSymEnc:
-    payload: object
-    key: object
-
-
-@dataclass(frozen=True)
-class TAsymEnc:
-    payload: object
-    key: object
-
-
-@dataclass(frozen=True)
 class TCommEnc:
     payload: object
     keys: Tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class TSucc:
-    base: object
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -235,10 +212,6 @@ class TKeyLookup:
     """Directory lookup: the term bound as key_<agent-name> in the
     script's initial bindings (trusted parties hold key tables)."""
     agent_ref: str
-
-
-def tlist(*items) -> TList:
-    return TList(tuple(items))
 
 
 def reinterpret(term: Term) -> Term:
@@ -291,23 +264,23 @@ class FreshMint:
 
 def instantiate(template, bindings: Dict[str, Term], mint: FreshMint,
                 agent: str, nonce_bits: int) -> Term:
-    if isinstance(template, TConst):
+    if isinstance(template, Const):
         return template.term
-    if isinstance(template, TRef):
+    if isinstance(template, Ref):
         return bindings[template.name]
     if isinstance(template, TFresh):
         value = mint.mint(template, agent, nonce_bits)
         bindings[template.binding] = value
         return value
-    if isinstance(template, TList):
+    if isinstance(template, Seq):
         items = [instantiate(t, bindings, mint, agent, nonce_bits)
                  for t in template.items]
         return pair(*items) if len(items) > 1 else items[0]
-    if isinstance(template, TSymEnc):
+    if isinstance(template, Enc):
         key = instantiate(template.key, bindings, mint, agent, nonce_bits)
         payload = instantiate(template.payload, bindings, mint, agent, nonce_bits)
         return SymEnc(payload, key)
-    if isinstance(template, TAsymEnc):
+    if isinstance(template, AEnc):
         key = instantiate(template.key, bindings, mint, agent, nonce_bits)
         payload = instantiate(template.payload, bindings, mint, agent, nonce_bits)
         return AsymEnc(payload, key)
@@ -316,7 +289,7 @@ def instantiate(template, bindings: Dict[str, Term], mint: FreshMint,
                 for k in template.keys]
         payload = instantiate(template.payload, bindings, mint, agent, nonce_bits)
         return comm_enc(payload, keys)
-    if isinstance(template, TSucc):
+    if isinstance(template, Inc):
         return succ(instantiate(template.base, bindings, mint, agent,
                                 nonce_bits), template.offset)
     if isinstance(template, TCommStrip):
@@ -352,7 +325,7 @@ class ExpectStep:
 
 @dataclass(frozen=True)
 class SendStep:
-    receiver: object          # str constant or TRef to a bound AgentId
+    receiver: object          # str constant or Ref to a bound AgentId
     body: object              # template
     msg: int = 0
     relative: bool = False    # msg = last consumed message number + 1
@@ -501,7 +474,7 @@ class HonestAgent:
         cache_key = (key, sess.pc)
         if cache_key not in self._send_cache:
             receiver = step.receiver
-            if isinstance(receiver, TRef):
+            if isinstance(receiver, Ref):
                 bound = sess.bindings[receiver.name]
                 receiver = bound.name if isinstance(bound, AgentId) else str(bound)
             body = instantiate(step.body, sess.bindings, mint, self.name,

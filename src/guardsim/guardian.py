@@ -28,7 +28,7 @@ from typing import (Callable, Collection, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
 from .agents import (AttackFunction, EraseStep, InjectStep, NullMint,
-                     ObserveStep, instantiate, match, TRef)
+                     ObserveStep, Ref, instantiate, match)
 from .network import Envelope, Erase, Inject, ResilientSignal, Slot
 from .terms import (Atom, Nonce, Term, render, wire_eq, wire_view,
                     subterms, SymEnc, AsymEnc, CommEnc)
@@ -505,7 +505,7 @@ class Guardian:
                                          (resp.fake,) if resp.fake else ()))
             elif isinstance(resp, ForwardCaptured):
                 self.pending.append(fake(resp.mask, resp.receiver, resp.label,
-                                         TRef("captured"), ()))
+                                         Ref("captured"), ()))
             elif isinstance(resp, RaiseAbortFlag):
                 signal = ResilientSignal(guardian=self.name, target=resp.target,
                                          label=resp.label, style=resp.style)
@@ -567,7 +567,7 @@ def verify_inverse(attack: AttackFunction,
         if isinstance(step, (EraseStep, ObserveStep)) and step.bind:
             captured.add(step.bind)
         if isinstance(step, InjectStep):
-            if isinstance(step.body, TRef) and step.body.name in captured:
+            if isinstance(step.body, Ref) and step.body.name in captured:
                 continue  # identity inverse: f^-1(f(m,s),s) = m
             fn = inverse_table.get(idx)
             if fn is None:

@@ -64,9 +64,6 @@ class KnowledgeSet:
         for added in self._log:
             self._items.update(added)
 
-    def snapshot(self) -> frozenset:
-        return frozenset(self._items)
-
 
 def analyze_terms(items: Iterable[Term]) -> frozenset:
     """Decomposition fixpoint of a term set.

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep,
-                      ObserveStep, PBind, PConst, PRef, PSucc, PSymEnc,
-                      RoleScript, SendStep, TConst, TFresh, TRef, TSucc,
-                      TSymEnc, plist, tlist)
+from ..agents import (AttackFunction, Const, Enc, EraseStep, ExpectStep, Inc,
+                      InjectStep, ObserveStep, PBind, Ref, RoleScript,
+                      SendStep, TFresh, seq)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, Modify,
                         RaiseAbortFlag)
@@ -33,19 +32,19 @@ KEY_AB = SymKey(value=3001, label="K_AB")
 
 
 def initiator_script(peer: str, pinned_nonce: Term = None) -> RoleScript:
-    first = TConst(pinned_nonce) if pinned_nonce is not None else \
+    first = Const(pinned_nonce) if pinned_nonce is not None else \
         TFresh("na", "nonce", "N_{agent}")
-    na_pat = PConst(pinned_nonce) if pinned_nonce is not None else PRef("na")
+    na_pat = Const(pinned_nonce) if pinned_nonce is not None else Ref("na")
     return RoleScript(name="andrew-init", steps=(
         SendStep(receiver=peer,
-                 body=tlist(TConst(AgentId("A")), TSymEnc(first, TConst(KEY_AB))),
+                 body=seq(Const(AgentId("A")), Enc(first, Const(KEY_AB))),
                  msg=1),
-        ExpectStep(PSymEnc(plist(PSucc(na_pat, 1), PBind("nb", "nonce")),
-                           PConst(KEY_AB)), msg=2),
+        ExpectStep(Enc(seq(Inc(na_pat, 1), PBind("nb", "nonce")),
+                       Const(KEY_AB)), msg=2),
         SendStep(receiver=peer,
-                 body=TSymEnc(TSucc(TRef("nb"), 1), TConst(KEY_AB)), msg=3),
-        ExpectStep(PSymEnc(plist(PBind("kab2", "any"), PBind("nb2", "nonce")),
-                           PConst(KEY_AB)), msg=4),
+                 body=Enc(Inc(Ref("nb"), 1), Const(KEY_AB)), msg=3),
+        ExpectStep(Enc(seq(PBind("kab2", "any"), PBind("nb2", "nonce")),
+                       Const(KEY_AB)), msg=4),
     ))
 
 
@@ -53,36 +52,34 @@ def responder_script(peer: str, pinned=None) -> RoleScript:
     """pinned, for collision studies: (nb_term, key_value, nb2_value)."""
     if pinned:
         nb, key_val, nb2_val = pinned
-        nb_t = TConst(nb)
-        nb_pat = PConst(nb)
-        key_t = TConst(SymKey(value=key_val, label="K'_AB"))
-        nb2_t = TConst(Nonce(value=nb2_val, label="N'_B"))
+        nb_t = Const(nb)
+        nb_pat = Const(nb)
+        key_t = Const(SymKey(value=key_val, label="K'_AB"))
+        nb2_t = Const(Nonce(value=nb2_val, label="N'_B"))
     else:
         nb_t = TFresh("nb", "nonce", "N_{agent}")
-        nb_pat = PRef("nb")
+        nb_pat = Ref("nb")
         key_t = TFresh("k2", "symkey", "K'_AB")
         nb2_t = TFresh("nb2", "nonce", "N_{agent}")
     return RoleScript(name="andrew-resp", steps=(
-        ExpectStep(plist(PBind("aid", "agent"),
-                         PSymEnc(PBind("n", "nonce"), PConst(KEY_AB))), msg=1),
+        ExpectStep(seq(PBind("aid", "agent"),
+                       Enc(PBind("n", "nonce"), Const(KEY_AB))), msg=1),
         SendStep(receiver=peer,
-                 body=TSymEnc(tlist(TSucc(TRef("n"), 1), nb_t),
-                              TConst(KEY_AB)), msg=2),
-        ExpectStep(PSymEnc(PSucc(nb_pat, 1), PConst(KEY_AB)), msg=3),
+                 body=Enc(seq(Inc(Ref("n"), 1), nb_t), Const(KEY_AB)), msg=2),
+        ExpectStep(Enc(Inc(nb_pat, 1), Const(KEY_AB)), msg=3),
         SendStep(receiver=peer,
-                 body=TSymEnc(tlist(key_t, nb2_t), TConst(KEY_AB)), msg=4),
+                 body=Enc(seq(key_t, nb2_t), Const(KEY_AB)), msg=4),
     ))
 
 
 def classic_attack() -> AttackFunction:
     """Attack trace 1: watch (2), suppress (3), replay (2) as (4)."""
     return AttackFunction(name="andrew-replay", steps=(
-        ObserveStep(bind="ct2", pattern=PSymEnc(PBind("p", "any"),
-                                                PConst(KEY_AB)),
+        ObserveStep(bind="ct2", pattern=Enc(PBind("p", "any"), Const(KEY_AB)),
                     from_agent="B", to_agent="A"),
         EraseStep(pattern=PBind("x", "symenc"), from_agent="A",
                   to_agent="B", bind="ct3"),
-        InjectStep(body=TRef("ct2"), claimed="B", receiver="A",
+        InjectStep(body=Ref("ct2"), claimed="B", receiver="A",
                    slot=Slot(1, 4)),
     ))
 
@@ -93,7 +90,7 @@ def old_message_attack(old_ct: Term) -> AttackFunction:
     return AttackFunction(name="andrew-old-replay", steps=(
         EraseStep(pattern=PBind("x", "symenc"), from_agent="A",
                   to_agent="B", bind="ct3"),
-        InjectStep(body=TConst(old_ct), claimed="B", receiver="A",
+        InjectStep(body=Const(old_ct), claimed="B", receiver="A",
                    slot=Slot(1, 4)),
     ))
 
@@ -105,10 +102,9 @@ def old_round_ciphertext(na_value: int = 77001, nb_value: int = 77002) -> Term:
 
 def make_guardian() -> Guardian:
     ident = Distinguisher("andrew-id", rules=(
-        PSymEnc(PBind("p", "any"), PBind("k", "any")),))
+        Enc(PBind("p", "any"), PBind("k", "any")),))
     crit = Distinguisher("andrew-crit", rules=(
-        PSymEnc(plist(PBind("a", "any"), PBind("b", "any")),
-                PBind("k", "any")),))
+        Enc(seq(PBind("a", "any"), PBind("b", "any")), PBind("k", "any")),))
     plan = InterferencePlan(responses=(
         Modify(fake=FakeSpec(label="M_fake", kind="atom", binding="fake1"),
                mask="A"),

@@ -109,7 +109,7 @@ class CaseStudy:
         """`kind`, or the home topology for None; a layout without the
         channels this study's roles use is refused."""
         kind = kind or self.home_topology
-        if kind.upper() not in self.applicable_kinds():
+        if kind not in self.applicable_kinds():
             raise ConfigError(f"{self.name} runs on topologies "
                               f"{', '.join(self.applicable_kinds())}, "
                               f"not {kind!r}")

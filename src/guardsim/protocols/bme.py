@@ -15,9 +15,9 @@ A's side.
 
 from __future__ import annotations
 
-from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep, PBind,
-                      PConst, PPair, PSymEnc, RoleScript, SendStep, TConst,
-                      TFresh, TKeyLookup, TRef, TSymEnc, plist, tlist)
+from ..agents import (AttackFunction, Const, Enc, EraseStep, ExpectStep,
+                      InjectStep, PBind, PPair, Ref, RoleScript, SendStep,
+                      TFresh, TKeyLookup, seq)
 from ..guardian import (Distinguisher, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, StopMessage)
 from ..network import Slot
@@ -35,18 +35,18 @@ DIRECTORY = {"key_A": KEY_AS, "key_B": KEY_BS}
 
 def initiator_script(peer: str = "B") -> RoleScript:
     return RoleScript(name="bme-init", steps=(
-        SendStep(receiver="S", body=tlist(TConst(A_ID), TConst(B_ID)), msg=1),
-        ExpectStep(plist(PSymEnc(PPair(PBind("kab", "key"), PConst(B_ID)),
-                                 PConst(KEY_AS)),
-                         PBind("ctb", "symenc")), msg=2),
-        SendStep(receiver=peer, body=TRef("ctb"), msg=3),
+        SendStep(receiver="S", body=seq(Const(A_ID), Const(B_ID)), msg=1),
+        ExpectStep(seq(Enc(PPair(PBind("kab", "key"), Const(B_ID)),
+                           Const(KEY_AS)),
+                       PBind("ctb", "symenc")), msg=2),
+        SendStep(receiver=peer, body=Ref("ctb"), msg=3),
     ))
 
 
 def b_responder_script() -> RoleScript:
     return RoleScript(name="bme-b", steps=(
-        ExpectStep(PSymEnc(PPair(PBind("kab", "key"), PBind("aid", "agent")),
-                           PConst(KEY_BS)), msg=3),
+        ExpectStep(Enc(PPair(PBind("kab", "key"), PBind("aid", "agent")),
+                       Const(KEY_BS)), msg=3),
     ))
 
 
@@ -54,12 +54,11 @@ def server_script() -> RoleScript:
     return RoleScript(name="bme-server",
                       initial_bindings=dict(DIRECTORY),
                       steps=(
-        ExpectStep(plist(PBind("p", "agent"), PBind("q", "agent")), msg=1),
-        SendStep(receiver=TRef("p"),
-                 body=tlist(TSymEnc(tlist(TFresh("kab", "symkey", "K_AB"),
-                                          TRef("q")), TKeyLookup("p")),
-                            TSymEnc(tlist(TRef("kab"), TRef("p")),
-                                    TKeyLookup("q"))),
+        ExpectStep(seq(PBind("p", "agent"), PBind("q", "agent")), msg=1),
+        SendStep(receiver=Ref("p"),
+                 body=seq(Enc(seq(TFresh("kab", "symkey", "K_AB"),
+                                  Ref("q")), TKeyLookup("p")),
+                          Enc(seq(Ref("kab"), Ref("p")), TKeyLookup("q"))),
                  relative=True),
     ))
 
@@ -77,7 +76,7 @@ def attack_trace_1() -> AttackFunction:
     """No honest run at all: plant the old ticket at B as A."""
     _, _, ctb = old_tickets()
     return AttackFunction(name="bme-direct-plant", steps=(
-        InjectStep(body=TConst(ctb), claimed="A", receiver="B",
+        InjectStep(body=Const(ctb), claimed="A", receiver="B",
                    slot=Slot(1, 3)),
     ))
 
@@ -87,9 +86,9 @@ def attack_trace_2() -> AttackFunction:
     relayed on A's own channel)."""
     _, cta, ctb = old_tickets()
     return AttackFunction(name="bme-swap-reply", steps=(
-        EraseStep(pattern=plist(PBind("c1", "symenc"), PBind("c2", "symenc")),
+        EraseStep(pattern=seq(PBind("c1", "symenc"), PBind("c2", "symenc")),
                   from_agent="S", to_agent="A", bind="m2"),
-        InjectStep(body=tlist(TConst(cta), TConst(ctb)), claimed="A",
+        InjectStep(body=seq(Const(cta), Const(ctb)), claimed="A",
                    receiver="A", slot=Slot(1, 2, 0, 1)),
     ))
 
@@ -99,11 +98,11 @@ def attack_trace_3() -> AttackFunction:
     ticket at B (the fresh one would carry a key the attacker lacks)."""
     _, _, ctb = old_tickets()
     return AttackFunction(name="bme-self-run", steps=(
-        InjectStep(body=tlist(TConst(A_ID), TConst(B_ID)), claimed="A",
+        InjectStep(body=seq(Const(A_ID), Const(B_ID)), claimed="A",
                    receiver="S", slot=Slot(1, 1)),
-        EraseStep(pattern=plist(PBind("c1", "symenc"), PBind("c2", "symenc")),
+        EraseStep(pattern=seq(PBind("c1", "symenc"), PBind("c2", "symenc")),
                   from_agent="S", to_agent="A", bind="m2"),
-        InjectStep(body=TConst(ctb), claimed="A", receiver="B",
+        InjectStep(body=Const(ctb), claimed="A", receiver="B",
                    slot=Slot(1, 3)),
     ))
 
@@ -112,9 +111,9 @@ def attack_trace_4() -> AttackFunction:
     """Intercept A's request and answer it as the server."""
     _, cta, ctb = old_tickets()
     return AttackFunction(name="bme-fake-server", steps=(
-        EraseStep(pattern=plist(PBind("p1", "agent"), PBind("q1", "agent")),
+        EraseStep(pattern=seq(PBind("p1", "agent"), PBind("q1", "agent")),
                   from_agent="A", to_agent="S", bind="m1"),
-        InjectStep(body=tlist(TConst(cta), TConst(ctb)), claimed="S",
+        InjectStep(body=seq(Const(cta), Const(ctb)), claimed="S",
                    receiver="A", slot=Slot(1, 2)),
     ))
 
@@ -122,8 +121,8 @@ def attack_trace_4() -> AttackFunction:
 def make_guardian(topology: Topology, window: int = 16) -> Guardian:
     ident = Distinguisher("bme-id", rules=(
         PBind("x", "symenc"),
-        plist(PBind("a", "agent"), PBind("b", "agent")),
-        plist(PBind("c1", "symenc"), PBind("c2", "symenc")),
+        seq(PBind("a", "agent"), PBind("b", "agent")),
+        seq(PBind("c1", "symenc"), PBind("c2", "symenc")),
     ))
     crit = Distinguisher("bme-crit", rules=(PBind("x", "symenc"),))
     plan = InterferencePlan(responses=(StopMessage(),))

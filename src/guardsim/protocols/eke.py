@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep,
-                      PAsymEnc, PBind, PConst, PPair, PRef, PSymEnc,
-                      RoleScript, SendStep, TAsymEnc, TConst, TDecryptPayload,
-                      TFresh, TRef, TSymEnc, tlist)
+from ..agents import (AEnc, AttackFunction, Const, Enc, EraseStep, ExpectStep,
+                      InjectStep, PBind, PPair, Ref, RoleScript, SendStep,
+                      TDecryptPayload, TFresh, seq)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, Modify,
                         RaiseAbortFlag)
@@ -36,32 +35,32 @@ PASSWORD = Password(value=5001, label="P")
 def initiator_script(peer: str) -> RoleScript:
     return RoleScript(name="eke-init", steps=(
         SendStep(receiver=peer,
-                 body=TSymEnc(TFresh("ka", "asymkey", "K_{agent}"),
-                              TConst(PASSWORD)), msg=1),
-        ExpectStep(PSymEnc(PAsymEnc(PBind("r", "key"), PRef("ka")),
-                           PConst(PASSWORD)), msg=2),
+                 body=Enc(TFresh("ka", "asymkey", "K_{agent}"),
+                          Const(PASSWORD)), msg=1),
+        ExpectStep(Enc(AEnc(PBind("r", "key"), Ref("ka")),
+                       Const(PASSWORD)), msg=2),
         SendStep(receiver=peer,
-                 body=TSymEnc(TFresh("na", "nonce", "N_{agent}"), TRef("r")),
+                 body=Enc(TFresh("na", "nonce", "N_{agent}"), Ref("r")),
                  msg=3),
-        ExpectStep(PSymEnc(PPair(PRef("na"), PBind("nb", "nonce")),
-                           PRef("r")), msg=4),
-        SendStep(receiver=peer, body=TSymEnc(TRef("nb"), TRef("r")), msg=5),
+        ExpectStep(Enc(PPair(Ref("na"), PBind("nb", "nonce")),
+                       Ref("r")), msg=4),
+        SendStep(receiver=peer, body=Enc(Ref("nb"), Ref("r")), msg=5),
     ))
 
 
 def responder_script(peer: str) -> RoleScript:
     return RoleScript(name="eke-resp", steps=(
-        ExpectStep(PSymEnc(PBind("ka", "pubkey"), PConst(PASSWORD)), msg=1),
+        ExpectStep(Enc(PBind("ka", "pubkey"), Const(PASSWORD)), msg=1),
         SendStep(receiver=peer,
-                 body=TSymEnc(TAsymEnc(TFresh("r", "symkey", "R"),
-                                       TRef("ka")), TConst(PASSWORD)),
+                 body=Enc(AEnc(TFresh("r", "symkey", "R"),
+                               Ref("ka")), Const(PASSWORD)),
                  msg=2),
         ExpectStep(PBind("x", "any"), msg=3),
         SendStep(receiver=peer,
-                 body=TSymEnc(tlist(TDecryptPayload("x", TRef("r")),
-                                    TFresh("nb", "nonce", "N_B")),
-                              TRef("r")), msg=4),
-        ExpectStep(PSymEnc(PRef("nb"), PRef("r")), msg=5),
+                 body=Enc(seq(TDecryptPayload("x", Ref("r")),
+                              TFresh("nb", "nonce", "N_B")),
+                          Ref("r")), msg=4),
+        ExpectStep(Enc(Ref("nb"), Ref("r")), msg=5),
     ))
 
 
@@ -72,16 +71,16 @@ def classic_attack() -> AttackFunction:
     for i, slot in enumerate(slots, start=1):
         steps.append(EraseStep(pattern=PBind(f"x{i}", "symenc"),
                                from_agent="A", to_agent="B", bind=f"c{i}"))
-        steps.append(InjectStep(body=TRef(f"c{i}"), claimed="B",
+        steps.append(InjectStep(body=Ref(f"c{i}"), claimed="B",
                                 receiver="A", slot=slot))
     return AttackFunction(name="eke-reflection", steps=tuple(steps))
 
 
 def make_guardian() -> Guardian:
     ident = Distinguisher("eke-id", rules=(
-        PSymEnc(PBind("p", "any"), PBind("k", "any")),))
+        Enc(PBind("p", "any"), PBind("k", "any")),))
     crit = Distinguisher("eke-crit", rules=(
-        PSymEnc(PBind("n", "nonce"), PBind("k", "any")),))
+        Enc(PBind("n", "nonce"), PBind("k", "any")),))
     plan = InterferencePlan(responses=(
         Modify(fake=FakeSpec(label="M_fake", kind="atom", binding="fake1"),
                mask="A"),

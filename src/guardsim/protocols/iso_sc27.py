@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..agents import (AttackerAgent, AttackFunction, EraseStep, ExpectStep,
-                      InjectStep, PBind, PConst, PRef, PSymEnc, RoleScript,
-                      SendStep, TConst, TFresh, TRef, TSymEnc, plist, tlist)
+from ..agents import (AttackFunction, AttackerAgent, Const, Enc, EraseStep,
+                      ExpectStep, InjectStep, PBind, Ref, RoleScript, SendStep,
+                      TFresh, seq)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, Modify,
                         RaiseAbortFlag)
@@ -34,9 +34,9 @@ KEY_AB = SymKey(value=1001, label="K_AB")
 def initiator_script(peer: str, key: SymKey = KEY_AB) -> RoleScript:
     return RoleScript(name="iso-init", steps=(
         SendStep(receiver=peer, body=TFresh("na", "nonce", "N_{agent}"), msg=1),
-        ExpectStep(PSymEnc(plist(PRef("na"), PBind("nb", "nonce")),
-                           PConst(key)), msg=2),
-        SendStep(receiver=peer, body=TRef("nb"), msg=3),
+        ExpectStep(Enc(seq(Ref("na"), PBind("nb", "nonce")),
+                       Const(key)), msg=2),
+        SendStep(receiver=peer, body=Ref("nb"), msg=3),
     ))
 
 
@@ -44,10 +44,9 @@ def responder_script(peer: str, key: SymKey = KEY_AB) -> RoleScript:
     return RoleScript(name="iso-resp", steps=(
         ExpectStep(PBind("n", "nonce"), msg=1),
         SendStep(receiver=peer,
-                 body=TSymEnc(tlist(TRef("n"),
-                                    TFresh("n2", "nonce", "N_{agent}")),
-                              TConst(key)), msg=2),
-        ExpectStep(PRef("n2"), msg=3),
+                 body=Enc(seq(Ref("n"), TFresh("n2", "nonce", "N_{agent}")),
+                          Const(key)), msg=2),
+        ExpectStep(Ref("n2"), msg=3),
     ))
 
 
@@ -60,13 +59,13 @@ def classic_attack(victim: str = "A", mask: str = "B",
     return AttackFunction(name="iso-reflection", steps=(
         EraseStep(pattern=PBind("x1", "nonce"), from_agent=victim,
                   to_agent=mask, bind="n1"),
-        InjectStep(body=TRef("n1"), claimed=mask, receiver=victim, slot=s1),
+        InjectStep(body=Ref("n1"), claimed=mask, receiver=victim, slot=s1),
         EraseStep(pattern=PBind("x2", "symenc"), from_agent=victim,
                   to_agent=mask, bind="ct"),
-        InjectStep(body=TRef("ct"), claimed=mask, receiver=victim, slot=s2),
+        InjectStep(body=Ref("ct"), claimed=mask, receiver=victim, slot=s2),
         EraseStep(pattern=PBind("x3", "nonce"), from_agent=victim,
                   to_agent=mask, bind="n2"),
-        InjectStep(body=TRef("n2"), claimed=mask, receiver=victim, slot=s3),
+        InjectStep(body=Ref("n2"), claimed=mask, receiver=victim, slot=s3),
     ))
 
 
@@ -82,7 +81,7 @@ def make_attacker(name: str = "E", variant: str = "proceed",
 def make_guardian() -> Guardian:
     ident = Distinguisher("iso-id", rules=(
         PBind("x", "nonce"),
-        PSymEnc(PBind("p", "any"), PBind("k", "any")),
+        Enc(PBind("p", "any"), PBind("k", "any")),
     ))
     crit = Distinguisher("iso-crit", rules=(PBind("x", "nonce"),))
     plan = InterferencePlan(responses=(

@@ -14,9 +14,9 @@ components.
 
 from __future__ import annotations
 
-from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep, PBind,
-                      PConst, PPair, PRef, PSymEnc, RoleScript, SendStep,
-                      TConst, TFresh, TRef, TSymEnc, plist, tlist)
+from ..agents import (AttackFunction, Const, Enc, EraseStep, ExpectStep,
+                      InjectStep, PBind, PPair, Ref, RoleScript, SendStep,
+                      TFresh, seq)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, Modify,
                         RaiseAbortFlag)
@@ -33,61 +33,59 @@ A_ID, B_ID = AgentId("A"), AgentId("B")
 def initiator_script(peer: str) -> RoleScript:
     return RoleScript(name="otway-init", steps=(
         SendStep(receiver=peer,
-                 body=tlist(TFresh("i", "atom", "I"), TConst(A_ID),
-                            TConst(B_ID),
-                            TSymEnc(tlist(TFresh("na", "nonce", "N_{agent}"),
-                                          TRef("i"), TConst(A_ID),
-                                          TConst(B_ID)),
-                                    TConst(KEY_AS))), msg=1),
-        ExpectStep(plist(PRef("i"),
-                         PSymEnc(PPair(PRef("na"), PBind("kab", "any")),
-                                 PConst(KEY_AS))), msg=4),
+                 body=seq(TFresh("i", "atom", "I"), Const(A_ID), Const(B_ID),
+                          Enc(seq(TFresh("na", "nonce", "N_{agent}"),
+                                  Ref("i"), Const(A_ID),
+                                  Const(B_ID)),
+                              Const(KEY_AS))), msg=1),
+        ExpectStep(seq(Ref("i"),
+                       Enc(PPair(Ref("na"), PBind("kab", "any")),
+                           Const(KEY_AS))), msg=4),
     ))
 
 
 def b_responder_script() -> RoleScript:
     return RoleScript(name="otway-b", steps=(
-        ExpectStep(plist(PBind("i", "nonce"), PBind("a", "agent"),
-                         PBind("b", "agent"), PBind("cta", "symenc")), msg=1),
+        ExpectStep(seq(PBind("i", "nonce"), PBind("a", "agent"),
+                       PBind("b", "agent"), PBind("cta", "symenc")), msg=1),
         SendStep(receiver="S",
-                 body=tlist(TRef("i"), TRef("a"), TRef("b"), TRef("cta"),
-                            TSymEnc(tlist(TFresh("nb", "nonce", "N_{agent}"),
-                                          TRef("i"), TRef("a"), TRef("b")),
-                                    TConst(KEY_BS))), msg=2),
-        ExpectStep(plist(PRef("i"), PBind("ctx", "symenc"),
-                         PSymEnc(PPair(PRef("nb"), PBind("kab", "any")),
-                                 PConst(KEY_BS))), msg=3),
-        SendStep(receiver=TRef("a"), body=tlist(TRef("i"), TRef("ctx")),
+                 body=seq(Ref("i"), Ref("a"), Ref("b"), Ref("cta"),
+                          Enc(seq(TFresh("nb", "nonce", "N_{agent}"),
+                                  Ref("i"), Ref("a"), Ref("b")),
+                              Const(KEY_BS))), msg=2),
+        ExpectStep(seq(Ref("i"), PBind("ctx", "symenc"),
+                       Enc(PPair(Ref("nb"), PBind("kab", "any")),
+                           Const(KEY_BS))), msg=3),
+        SendStep(receiver=Ref("a"), body=seq(Ref("i"), Ref("ctx")),
                  msg=4),
     ))
 
 
 def server_script() -> RoleScript:
     return RoleScript(name="otway-server", steps=(
-        ExpectStep(plist(PBind("i", "nonce"), PBind("a", "agent"),
-                         PBind("b", "agent"),
-                         PSymEnc(plist(PBind("na", "nonce"), PRef("i"),
-                                       PRef("a"), PRef("b")), PConst(KEY_AS)),
-                         PSymEnc(plist(PBind("nb", "nonce"), PRef("i"),
-                                       PRef("a"), PRef("b")), PConst(KEY_BS))),
+        ExpectStep(seq(PBind("i", "nonce"), PBind("a", "agent"),
+                       PBind("b", "agent"),
+                       Enc(seq(PBind("na", "nonce"), Ref("i"),
+                               Ref("a"), Ref("b")), Const(KEY_AS)),
+                       Enc(seq(PBind("nb", "nonce"), Ref("i"),
+                               Ref("a"), Ref("b")), Const(KEY_BS))),
                    msg=2),
-        SendStep(receiver=TRef("b"),
-                 body=tlist(TRef("i"),
-                            TSymEnc(tlist(TRef("na"),
-                                          TFresh("kab", "symkey", "K_AB")),
-                                    TConst(KEY_AS)),
-                            TSymEnc(tlist(TRef("nb"), TRef("kab")),
-                                    TConst(KEY_BS))), msg=3),
+        SendStep(receiver=Ref("b"),
+                 body=seq(Ref("i"),
+                          Enc(seq(Ref("na"), TFresh("kab", "symkey", "K_AB")),
+                              Const(KEY_AS)),
+                          Enc(seq(Ref("nb"), Ref("kab")),
+                              Const(KEY_BS))), msg=3),
     ))
 
 
 def attack_trace_1() -> AttackFunction:
     """Suppress (1), replay its ciphertext straight back as (4)."""
     return AttackFunction(name="otway-type-flaw-direct", steps=(
-        EraseStep(pattern=plist(PBind("i1", "nonce"), PBind("a1", "agent"),
-                                PBind("b1", "agent"), PBind("ct1", "symenc")),
+        EraseStep(pattern=seq(PBind("i1", "nonce"), PBind("a1", "agent"),
+                              PBind("b1", "agent"), PBind("ct1", "symenc")),
                   from_agent="A", to_agent="B", bind="m1"),
-        InjectStep(body=tlist(TRef("i1"), TRef("ct1")), claimed="B",
+        InjectStep(body=seq(Ref("i1"), Ref("ct1")), claimed="B",
                    receiver="A", slot=Slot(1, 4)),
     ))
 
@@ -95,11 +93,11 @@ def attack_trace_1() -> AttackFunction:
 def attack_trace_2() -> AttackFunction:
     """Masquerade as the server: echo B's request material back as (3)."""
     return AttackFunction(name="otway-type-flaw-via-b", steps=(
-        EraseStep(pattern=plist(PBind("i2", "nonce"), PBind("a2", "agent"),
-                                PBind("b2", "agent"), PBind("cta", "symenc"),
-                                PBind("ctb", "symenc")),
+        EraseStep(pattern=seq(PBind("i2", "nonce"), PBind("a2", "agent"),
+                              PBind("b2", "agent"), PBind("cta", "symenc"),
+                              PBind("ctb", "symenc")),
                   from_agent="B", to_agent="S", bind="m2"),
-        InjectStep(body=tlist(TRef("i2"), TRef("cta"), TRef("ctb")),
+        InjectStep(body=seq(Ref("i2"), Ref("cta"), Ref("ctb")),
                    claimed="S", receiver="B", slot=Slot(1, 3)),
     ))
 
@@ -127,19 +125,19 @@ def key_compromised(result) -> bool:
 
 def make_guardian() -> Guardian:
     ident = Distinguisher("otway-id", rules=(
-        plist(PBind("i", "nonce"), PBind("a", "agent"), PBind("b", "agent"),
-              PBind("ct", "symenc")),
-        plist(PBind("i", "nonce"), PBind("ct", "symenc")),
+        seq(PBind("i", "nonce"), PBind("a", "agent"), PBind("b", "agent"),
+            PBind("ct", "symenc")),
+        seq(PBind("i", "nonce"), PBind("ct", "symenc")),
     ))
     crit = Distinguisher("otway-crit", rules=(
-        plist(PBind("i", "nonce"), PBind("ct", "symenc")),))
+        seq(PBind("i", "nonce"), PBind("ct", "symenc")),))
     plan = InterferencePlan(
-        trigger_pattern=plist(PBind("i", "nonce"), PBind("ct", "symenc")),
+        trigger_pattern=seq(PBind("i", "nonce"), PBind("ct", "symenc")),
         responses=(
             Modify(fake=FakeSpec(label="M_fake", kind="atom",
                                  binding="fake1"),
                    mask="A",
-                   template=tlist(TRef("i"), TRef("fake1"))),
+                   template=seq(Ref("i"), Ref("fake1"))),
             RaiseAbortFlag(target="A", label="4_1", style="abort",
                            mode="after_plan"),
         ))

@@ -16,10 +16,9 @@ signature of that splice, and the windowed check bounds how far back
 
 from __future__ import annotations
 
-from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep,
-                      ObserveStep, PAsymEnc, PBind, PConst, PRef, PSucc,
-                      RoleScript, SendStep, TAsymEnc, TConst, TFresh,
-                      TKeyLookup, TRef, TSucc, plist, tlist)
+from ..agents import (AEnc, AttackFunction, Const, EraseStep, ExpectStep, Inc,
+                      InjectStep, ObserveStep, PBind, Ref, RoleScript,
+                      SendStep, TFresh, TKeyLookup, seq)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, Intercept, InvariantSpec,
                         ForwardCaptured, RaiseAbortFlag, SendFake)
@@ -46,49 +45,43 @@ DIRECTORY = {"key_A": K_A_PUB, "key_B": K_B_PUB, "key_E": K_E_PUB}
 def initiator_script(peer: str = "B") -> RoleScript:
     return RoleScript(name="splice-init", steps=(
         SendStep(receiver="AS",
-                 body=tlist(TConst(AID["A"]), TConst(AID[peer]),
-                            TFresh("n1", "nonce", "N_1")), msg=1),
-        ExpectStep(plist(PConst(AID["AS"]),
-                         PAsymEnc(plist(PConst(AID["AS"]), PConst(AID["A"]),
-                                        PRef("n1"), PConst(AID[peer]),
-                                        PBind("kb", "pubkey")),
-                                  PConst(K_AS_PRIV))), msg=2),
+                 body=seq(Const(AID["A"]), Const(AID[peer]),
+                          TFresh("n1", "nonce", "N_1")), msg=1),
+        ExpectStep(seq(Const(AID["AS"]),
+                       AEnc(seq(Const(AID["AS"]), Const(AID["A"]),
+                                Ref("n1"), Const(AID[peer]),
+                                PBind("kb", "pubkey")),
+                            Const(K_AS_PRIV))), msg=2),
         SendStep(receiver=peer,
-                 body=tlist(TConst(AID["A"]), TConst(AID[peer]),
-                            TAsymEnc(tlist(TConst(AID["A"]), TConst(T0),
-                                           TConst(L0),
-                                           TAsymEnc(TFresh("n2", "nonce",
-                                                           "N_2"),
-                                                    TRef("kb"))),
-                                     TConst(K_A_PRIV))), msg=3),
-        ExpectStep(plist(PConst(AID[peer]), PConst(AID["A"]),
-                         PAsymEnc(plist(PConst(AID[peer]),
-                                        PSucc(PRef("n2"), 1)),
-                                  PConst(K_A_PUB))), msg=6),
+                 body=seq(Const(AID["A"]), Const(AID[peer]),
+                          AEnc(seq(Const(AID["A"]), Const(T0), Const(L0),
+                                   AEnc(TFresh("n2", "nonce", "N_2"),
+                                        Ref("kb"))),
+                               Const(K_A_PRIV))), msg=3),
+        ExpectStep(seq(Const(AID[peer]), Const(AID["A"]),
+                       AEnc(seq(Const(AID[peer]), Inc(Ref("n2"), 1)),
+                            Const(K_A_PUB))), msg=6),
     ))
 
 
 def b_responder_script() -> RoleScript:
     return RoleScript(name="splice-b", steps=(
-        ExpectStep(plist(PBind("x", "agent"), PConst(AID["B"]),
-                         PAsymEnc(plist(PRef("x"), PBind("t", "any"),
-                                        PBind("l", "any"),
-                                        PAsymEnc(PBind("n2", "nonce"),
-                                                 PConst(K_B_PUB))),
-                                  PBind("sigkey", "any"))), msg=3),
+        ExpectStep(seq(PBind("x", "agent"), Const(AID["B"]),
+                       AEnc(seq(Ref("x"), PBind("t", "any"), PBind("l", "any"),
+                                AEnc(PBind("n2", "nonce"), Const(K_B_PUB))),
+                            PBind("sigkey", "any"))), msg=3),
         SendStep(receiver="AS",
-                 body=tlist(TConst(AID["B"]), TRef("x"),
-                            TFresh("n3", "nonce", "N_3")), msg=4),
-        ExpectStep(plist(PConst(AID["AS"]),
-                         PAsymEnc(plist(PConst(AID["AS"]), PConst(AID["B"]),
-                                        PRef("n3"), PRef("x"),
-                                        PBind("kx", "pubkey")),
-                                  PConst(K_AS_PRIV))), msg=5),
-        SendStep(receiver=TRef("x"),
-                 body=tlist(TConst(AID["B"]), TRef("x"),
-                            TAsymEnc(tlist(TConst(AID["B"]),
-                                           TSucc(TRef("n2"), 1)),
-                                     TRef("kx"))), msg=6),
+                 body=seq(Const(AID["B"]), Ref("x"),
+                          TFresh("n3", "nonce", "N_3")), msg=4),
+        ExpectStep(seq(Const(AID["AS"]),
+                       AEnc(seq(Const(AID["AS"]), Const(AID["B"]),
+                                Ref("n3"), Ref("x"),
+                                PBind("kx", "pubkey")),
+                            Const(K_AS_PRIV))), msg=5),
+        SendStep(receiver=Ref("x"),
+                 body=seq(Const(AID["B"]), Ref("x"),
+                          AEnc(seq(Const(AID["B"]), Inc(Ref("n2"), 1)),
+                               Ref("kx"))), msg=6),
     ))
 
 
@@ -96,14 +89,14 @@ def server_script() -> RoleScript:
     return RoleScript(name="splice-server",
                       initial_bindings=dict(DIRECTORY),
                       steps=(
-        ExpectStep(plist(PBind("p", "agent"), PBind("q", "agent"),
-                         PBind("n", "nonce")), msg=1),
-        SendStep(receiver=TRef("p"),
-                 body=tlist(TConst(AID["AS"]),
-                            TAsymEnc(tlist(TConst(AID["AS"]), TRef("p"),
-                                           TRef("n"), TRef("q"),
-                                           TKeyLookup("q")),
-                                     TConst(K_AS_PRIV))),
+        ExpectStep(seq(PBind("p", "agent"), PBind("q", "agent"),
+                       PBind("n", "nonce")), msg=1),
+        SendStep(receiver=Ref("p"),
+                 body=seq(Const(AID["AS"]),
+                          AEnc(seq(Const(AID["AS"]), Ref("p"),
+                                   Ref("n"), Ref("q"),
+                                   TKeyLookup("q")),
+                               Const(K_AS_PRIV))),
                  relative=True),
     ))
 
@@ -112,34 +105,33 @@ def classic_attack() -> AttackFunction:
     """Capture A's signed challenge, re-sign it as E, let B talk to the
     server about E, then re-target B's answer at A."""
     return AttackFunction(name="splice-resign", steps=(
-        EraseStep(pattern=plist(PBind("a1", "agent"), PBind("b1", "agent"),
-                                PAsymEnc(plist(PBind("a2", "agent"),
-                                               PBind("t1", "any"),
-                                               PBind("l1", "any"),
-                                               PBind("ctn", "any")),
-                                         PBind("ks", "any"))),
+        EraseStep(pattern=seq(PBind("a1", "agent"), PBind("b1", "agent"),
+                              AEnc(seq(PBind("a2", "agent"),
+                                       PBind("t1", "any"),
+                                       PBind("l1", "any"),
+                                       PBind("ctn", "any")),
+                                   PBind("ks", "any"))),
                   from_agent="A", to_agent="B", bind="m3"),
-        InjectStep(body=tlist(TConst(AID["E"]), TConst(AID["B"]),
-                              TAsymEnc(tlist(TConst(AID["E"]), TRef("t1"),
-                                             TRef("l1"), TRef("ctn")),
-                                       TConst(K_E_PRIV))),
+        InjectStep(body=seq(Const(AID["E"]), Const(AID["B"]),
+                            AEnc(seq(Const(AID["E"]), Ref("t1"),
+                                     Ref("l1"), Ref("ctn")),
+                                 Const(K_E_PRIV))),
                    claimed="E", receiver="B", slot=Slot(1, 3, 0, 1)),
         ObserveStep(bind="m6",
-                    pattern=plist(PConst(AID["B"]), PConst(AID["E"]),
-                                  PAsymEnc(plist(PConst(AID["B"]),
-                                                 PBind("n2p", "any")),
-                                           PConst(K_E_PUB))),
+                    pattern=seq(Const(AID["B"]), Const(AID["E"]),
+                                AEnc(seq(Const(AID["B"]), PBind("n2p", "any")),
+                                     Const(K_E_PUB))),
                     to_agent="E"),
-        InjectStep(body=tlist(TConst(AID["B"]), TConst(AID["A"]),
-                              TAsymEnc(tlist(TConst(AID["B"]), TRef("n2p")),
-                                       TConst(K_A_PUB))),
+        InjectStep(body=seq(Const(AID["B"]), Const(AID["A"]),
+                            AEnc(seq(Const(AID["B"]), Ref("n2p")),
+                                 Const(K_A_PUB))),
                    claimed="E", receiver="A", slot=Slot(1, 6, 0, 1)),
     ))
 
 
 def make_guardian(window: int = 16) -> Guardian:
-    request = plist(PBind("p", "agent"), PBind("q", "agent"),
-                    PBind("n", "nonce"))
+    request = seq(PBind("p", "agent"), PBind("q", "agent"),
+                  PBind("n", "nonce"))
     ident = Distinguisher("splice-id", rules=(request,))
     crit = Distinguisher("splice-crit", rules=(request,))
     plan = InterferencePlan(
@@ -147,10 +139,9 @@ def make_guardian(window: int = 16) -> Guardian:
         responses=(
             Intercept(),
             SendFake(mask="E", receiver="A",
-                     template=tlist(TConst(AID["B"]), TConst(AID["A"]),
-                                    TAsymEnc(tlist(TConst(AID["B"]),
-                                                   TRef("fake1")),
-                                             TConst(K_A_PUB))),
+                     template=seq(Const(AID["B"]), Const(AID["A"]),
+                                  AEnc(seq(Const(AID["B"]), Ref("fake1")),
+                                       Const(K_A_PUB))),
                      fake=FakeSpec(label="N_fake", kind="nonce",
                                    binding="fake1"),
                      label="5"),

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..agents import (AttackFunction, EraseStep, ExpectStep, InjectStep, PBind,
-                      RoleScript, SendStep, TCommEnc, TCommStrip, TConst,
-                      TFresh, TRef)
+from ..agents import (AttackFunction, Const, EraseStep, ExpectStep, InjectStep,
+                      PBind, Ref, RoleScript, SendStep, TCommEnc, TCommStrip,
+                      TFresh)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, InvariantSpec, Modify,
                         RaiseAbortFlag, SendFake)
@@ -34,17 +34,17 @@ KEY_B = SymKey(value=2002, label="K_B")
 def initiator_script(peer: str) -> RoleScript:
     return RoleScript(name="sra3p-init", steps=(
         SendStep(receiver=peer,
-                 body=TCommEnc(TFresh("m", "atom", "M"), (TConst(KEY_A),)),
+                 body=TCommEnc(TFresh("m", "atom", "M"), (Const(KEY_A),)),
                  msg=1),
         ExpectStep(PBind("x", "any"), msg=2),
-        SendStep(receiver=peer, body=TCommStrip("x", TConst(KEY_A)), msg=3),
+        SendStep(receiver=peer, body=TCommStrip("x", Const(KEY_A)), msg=3),
     ))
 
 
 def responder_script(peer: str) -> RoleScript:
     return RoleScript(name="sra3p-resp", steps=(
         ExpectStep(PBind("y", "commenc"), msg=1),
-        SendStep(receiver=peer, body=TCommEnc(TRef("y"), (TConst(KEY_B),)),
+        SendStep(receiver=peer, body=TCommEnc(Ref("y"), (Const(KEY_B),)),
                  msg=2),
         ExpectStep(PBind("z", "any"), msg=3),
     ))
@@ -54,7 +54,7 @@ def classic_attack() -> AttackFunction:
     return AttackFunction(name="sra3p-reflection", steps=(
         EraseStep(pattern=PBind("x1", "commenc"), from_agent="A",
                   to_agent="B", bind="c1"),
-        InjectStep(body=TRef("c1"), claimed="B", receiver="A",
+        InjectStep(body=Ref("c1"), claimed="B", receiver="A",
                    slot=Slot(1, 2)),
         EraseStep(pattern=PBind("x2", "any"), from_agent="A", to_agent="B",
                   bind="secret"),

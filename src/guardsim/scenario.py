@@ -6,9 +6,9 @@ import json
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .agents import (KIND_CHECKS, ExpectStep, FreshMint, HonestAgent, PBind,
-                     PConst, PRef, PSymEnc, RoleScript, SendStep, TConst,
-                     TFresh, TRef, TSymEnc, plist, tlist)
+from .agents import (KIND_CHECKS, Const, Enc, ExpectStep, FreshMint,
+                     HonestAgent, PBind, Ref, RoleScript, SendStep, TFresh,
+                     seq)
 from .network import DeadlockError
 from .simulator import BudgetExceeded, SimResult
 from .terms import SymKey, render
@@ -275,63 +275,40 @@ def _sequence(value, what: str) -> list:
     return value
 
 
-def _senc_parts(spec) -> list:
-    parts = spec["senc"]
-    if not isinstance(parts, list) or len(parts) != 2:
-        raise ConfigError(f"senc takes [payload, key], not {parts!r}")
-    return parts
-
-
-def _constant(spec, constants):
-    name = spec["key"]
-    if not isinstance(name, str) or name not in constants:
-        raise ConfigError(f"unknown constant {name!r}")
-    return constants[name]
-
-
-def _parse_template(spec, constants):
+def _parse_node(spec, constants, role):
+    """One inline node, read as a "pattern" or a "template": the node
+    kinds are shared, except that `bind` is read only in a pattern and
+    `fresh` only in a template."""
     if isinstance(spec, dict):
-        if "fresh" in spec:
+        if role == "template" and "fresh" in spec:
             kind = spec.get("kind", "nonce")
             if kind not in FreshMint.KINDS:
                 raise ConfigError(f"unknown fresh kind {kind!r}; known: "
                                   f"{list(FreshMint.KINDS)}")
             return TFresh(binding=spec["fresh"], kind=kind,
                           label=spec.get("label", "N_{agent}"))
-        if "ref" in spec:
-            return TRef(spec["ref"])
-        if "key" in spec:
-            return TConst(_constant(spec, constants))
-        if "senc" in spec:
-            payload, key = _senc_parts(spec)
-            return TSymEnc(_parse_template(payload, constants),
-                           _parse_template(key, constants))
-        if "list" in spec:
-            return tlist(*[_parse_template(t, constants)
-                           for t in _sequence(spec["list"], "list")])
-    raise ConfigError(f"bad template {spec!r}")
-
-
-def _parse_pattern(spec, constants):
-    if isinstance(spec, dict):
-        if "bind" in spec:
+        if role == "pattern" and "bind" in spec:
             kind = spec.get("kind", "any")
             if kind not in KIND_CHECKS:
                 raise ConfigError(f"unknown pattern kind {kind!r}; known: "
                                   f"{sorted(KIND_CHECKS)}")
             return PBind(spec["bind"], kind)
         if "ref" in spec:
-            return PRef(spec["ref"])
+            return Ref(spec["ref"])
         if "key" in spec:
-            return PConst(_constant(spec, constants))
+            name = spec["key"]
+            if not isinstance(name, str) or name not in constants:
+                raise ConfigError(f"unknown constant {name!r}")
+            return Const(constants[name])
         if "senc" in spec:
-            payload, key = _senc_parts(spec)
-            return PSymEnc(_parse_pattern(payload, constants),
-                           _parse_pattern(key, constants))
+            parts = spec["senc"]
+            if not isinstance(parts, list) or len(parts) != 2:
+                raise ConfigError(f"senc takes [payload, key], not {parts!r}")
+            return Enc(*[_parse_node(p, constants, role) for p in parts])
         if "list" in spec:
-            return plist(*[_parse_pattern(p, constants)
-                           for p in _sequence(spec["list"], "list")])
-    raise ConfigError(f"bad pattern {spec!r}")
+            return seq(*[_parse_node(item, constants, role)
+                         for item in _sequence(spec["list"], "list")])
+    raise ConfigError(f"bad {role} {spec!r}")
 
 
 def _parse_script(name, steps, constants, agents):
@@ -344,11 +321,12 @@ def _parse_script(name, steps, constants, agents):
                 raise ConfigError(f"{name} sends to {step['to']!r}, "
                                   f"which names no agent")
             parsed.append(SendStep(receiver=step["to"],
-                                   body=_parse_template(step["send"], constants),
+                                   body=_parse_node(step["send"], constants,
+                                                    "template"),
                                    msg=step["msg"]))
         elif "expect" in step:
-            parsed.append(ExpectStep(pattern=_parse_pattern(step["expect"],
-                                                            constants),
+            parsed.append(ExpectStep(pattern=_parse_node(step["expect"],
+                                                         constants, "pattern"),
                                      msg=step["msg"]))
         else:
             raise ConfigError(f"bad role step {step!r}")

@@ -153,7 +153,7 @@ def base_topology(kind: str, honest: Sequence[str] = ("A", "B", "S"),
     The guardian holds a resilient link to A, and to B as well in the
     three-agent layouts.
     """
-    layout = LAYOUTS.get(kind.upper())
+    layout = LAYOUTS.get(kind)
     if layout is None:
         raise ConfigError(f"unknown base topology kind {kind!r}")
     names = (honest[0], honest[1], honest[2] if len(honest) > 2 else "S")

@@ -9,8 +9,8 @@ import pytest
 
 import guardsim
 from guardsim.agents import (ExpectStep, FreshMint, HonestAgent, PBind, PPair,
-                             PRef, PSucc, RoleScript, SendStep, TConst, TFresh,
-                             match, reinterpret, plist)
+                             Ref, Inc, RoleScript, SendStep, Const, TFresh,
+                             match, reinterpret, seq)
 from guardsim.network import Envelope, Slot
 from guardsim.protocols.iso_sc27 import classic_attack, make_attacker
 from guardsim.terms import (AgentId, Atom, Nonce, Pair, Succ, SymEnc,
@@ -75,10 +75,10 @@ def test_steps_consumed_in_order():
 def test_pattern_wire_level_value_checks():
     # a back-reference compares bits: a colliding key passes a nonce check
     bound = {"na": NA}
-    assert match(PRef("na"), SymKey(value=10), bound) is not None
-    assert match(PSucc(PRef("na"), 1), Nonce(value=11), bound) is not None
-    assert match(PSucc(PRef("na"), 1), succ(NA, 1), bound) is not None
-    assert match(PSucc(PRef("na"), 1), Nonce(value=12), bound) is None
+    assert match(Ref("na"), SymKey(value=10), bound) is not None
+    assert match(Inc(Ref("na"), 1), Nonce(value=11), bound) is not None
+    assert match(Inc(Ref("na"), 1), succ(NA, 1), bound) is not None
+    assert match(Inc(Ref("na"), 1), Nonce(value=12), bound) is None
 
 
 def test_ppair_does_not_flatten():
@@ -87,7 +87,7 @@ def test_ppair_does_not_flatten():
                 triple, {})
     assert got is not None
     assert got["rest"] == Pair(NB, Atom(value=5))
-    assert match(plist(PBind("a", "any"), PBind("b", "any")), triple, {}) is None
+    assert match(seq(PBind("a", "any"), PBind("b", "any")), triple, {}) is None
 
 
 def test_reinterpret_names_junk_decryptions():
@@ -124,7 +124,7 @@ def test_minted_nonce_fits_its_width():
 # -- honest session order ----------------------------------------------------
 
 def send(msg):
-    return SendStep(receiver="B", body=TConst(Nonce(value=msg, label=f"M{msg}")),
+    return SendStep(receiver="B", body=Const(Nonce(value=msg, label=f"M{msg}")),
                     msg=msg)
 
 

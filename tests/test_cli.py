@@ -76,6 +76,8 @@ def test_bad_scenario_config_exit(tmp_path):
     json.dumps({"protocol": "otway-rees", "topology": "A"}),
     json.dumps({"protocol": "iso-sc-27", "topology": "C"}),
     json.dumps({"protocol": "iso-sc-27", "topology": "Z"}),
+    json.dumps({"protocol": "iso-sc-27", "topology": "a"}),
+    json.dumps({"protocol": {"agents": {"A": {}, "B": {}}}, "topology": "a"}),
 ])
 def test_bad_scenario_input_exit(tmp_path, text):
     path = tmp_path / "bad.json"
@@ -98,6 +100,22 @@ def test_unknown_constant_named(tmp_path, capsys, key_term, where):
     assert "unknown constant 'K9'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("node, where, message", [
+    ({"fresh": "x"}, "expect", "bad pattern"),
+    ({"bind": "x"}, "send", "bad template"),
+])
+def test_role_only_inline_node_refused(tmp_path, capsys, node, where,
+                                       message):
+    # `fresh` is read only in a send, `bind` only in an expect
+    step = ({"send": {"list": [node]}, "to": "B", "msg": 1}
+            if where == "send" else {"expect": {"list": [node]}, "msg": 1})
+    spec = {"protocol": {"agents": {"A": {"initiator": [step]}, "B": {}}}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--scenario", str(path)]) == 64
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["cases", "--protocol", "eke"],
     ["montecarlo", "--trials", "0", "--nonce-bits", "8"],
@@ -109,6 +127,7 @@ def test_unknown_constant_named(tmp_path, capsys, key_term, where):
     ["matrix", "--topologies", "Z"],
     ["export-builtin", "iso-sc-27", "--topology", "Z"],
     ["export-builtin", "splice-as", "--topology", "B"],
+    ["export-builtin", "iso-sc-27", "--topology", "a"],
 ])
 def test_bad_arguments_exit(argv):
     assert main(argv) == 64

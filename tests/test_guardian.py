@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from guardsim.agents import PBind, plist
+from guardsim.agents import PBind, seq
 from guardsim.guardian import (Distinguisher, FakeSpec, Guardian,
                                GuardianFilter, GuardianStore,
                                InterferencePlan, InvariantSpec, StopMessage,
@@ -117,9 +117,9 @@ def test_defense_mechanism_tri_state():
     assert is_defense_mechanism(topo_a, "G", "A", (("A", "B"),), ["E"], fn) is True
     assert is_defense_mechanism(topo_b, "G", "A", (("A", "B"),), ["E"], fn) is False
     # an attack with a non-replay injection and no registered inverse
-    from guardsim.agents import AttackFunction, InjectStep, TConst
+    from guardsim.agents import AttackFunction, InjectStep, Const
     odd = AttackFunction(name="odd", steps=(
-        InjectStep(body=TConst(NA), claimed="B", receiver="A",
+        InjectStep(body=Const(NA), claimed="B", receiver="A",
                    slot=Slot(2, 1)),))
     assert is_defense_mechanism(topo_a, "G", "A", (("A", "B"),), ["E"], odd) \
         == "inverse unknown"
@@ -229,7 +229,7 @@ INVARIANTS = {
                                       params={"component": True}),
     "freshness": InvariantSpec("windowed-freshness"),
     "cross-request": InvariantSpec("cross-request-mismatch", params={
-        "request_pattern": plist(PBind("p", "any"), PBind("q", "any"))}),
+        "request_pattern": seq(PBind("p", "any"), PBind("q", "any"))}),
 }
 INVARIANTS.update({
     f"freshness-{direction}-{agent}": InvariantSpec(

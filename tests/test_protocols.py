@@ -34,6 +34,71 @@ def test_builtin_catalog():
         builtin("nope")
 
 
+def _node_positions(case):
+    """("pattern" | "template", node) for every node position of a study:
+    its role scripts, its attack functions and its guardian per layout."""
+    from guardsim.agents import (EraseStep, ExpectStep, InjectStep,
+                                 ObserveStep, SendStep)
+    scripts = [case.initiator("B")]
+    scripts += [make() for makes in case.roles.values() for make in makes]
+    steps = [step for script in scripts for step in script.steps]
+    steps += [step for attack in case.attacks.values()
+              for step in attack.function().steps]
+    for step in steps:
+        if isinstance(step, (ExpectStep, ObserveStep, EraseStep)):
+            yield "pattern", step.pattern
+        else:
+            assert isinstance(step, (SendStep, InjectStep)), step
+            yield "template", step.body
+            if not isinstance(step.receiver, str):
+                yield "template", step.receiver
+    for kind in case.applicable_kinds():
+        guardian = case.wire(kind=kind).guardian
+        for rule in (*guardian.ident.rules, *guardian.crit.rules):
+            yield "pattern", rule
+        for pattern in (guardian.plan.trigger_pattern,
+                        guardian.invariant.params.get("request_pattern")):
+            if pattern is not None:
+                yield "pattern", pattern
+        for response in guardian.plan.responses:
+            if getattr(response, "template", None) is not None:
+                yield "template", response.template
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_every_node_sits_where_it_can_be_read(name):
+    # match reads shared and P* nodes, instantiate shared and T* nodes;
+    # a node of the other role would only fail when its step runs
+    import dataclasses
+    from guardsim import agents
+    shared = (agents.Const, agents.Ref, agents.Seq, agents.Enc, agents.AEnc,
+              agents.Inc)
+    readable = {
+        "pattern": shared + (agents.PBind, agents.PPair),
+        "template": shared + (agents.TFresh, agents.TCommEnc,
+                              agents.TCommStrip, agents.TDecryptPayload,
+                              agents.TKeyLookup),
+    }
+
+    def misplaced(node, role):
+        if not isinstance(node, readable[role]):
+            return [node]
+        if isinstance(node, agents.Const):
+            return []           # holds a term, not a node
+        out = []
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            for child in value if isinstance(value, tuple) else (value,):
+                if not isinstance(child, (str, int)):   # names, offsets
+                    out += misplaced(child, role)
+        return out
+
+    positions = list(_node_positions(builtin(name)))
+    assert {role for role, _ in positions} == {"pattern", "template"}
+    for role, node in positions:
+        assert misplaced(node, role) == [], (role, node)
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_wire_rejects_unknown_attack(name):
     case = builtin(name)
@@ -157,15 +222,15 @@ def test_iso_fp_condition_role_reversal_collision():
     result = sim.run()
     na = a.sessions[1].bindings["na"]
     # role reversal: B opens a new session reusing that value
-    from guardsim.agents import (RoleScript, SendStep, ExpectStep, PConst,
-                                 PSymEnc, plist, PBind, TConst, TRef)
+    from guardsim.agents import (RoleScript, SendStep, ExpectStep, Const, Enc,
+                                 seq, PBind, Ref)
     reversed_script = RoleScript(name="iso-init-replayed", steps=(
-        SendStep(receiver="A", body=TConst(Nonce(value=na.value, label="N_B")),
+        SendStep(receiver="A", body=Const(Nonce(value=na.value, label="N_B")),
                  msg=1),
-        ExpectStep(PSymEnc(plist(PConst(Nonce(value=na.value)),
-                                 PBind("x", "nonce")), PConst(iso.KEY_AB)),
+        ExpectStep(Enc(seq(Const(Nonce(value=na.value)),
+                           PBind("x", "nonce")), Const(iso.KEY_AB)),
                    msg=2),
-        SendStep(receiver="A", body=TRef("x"), msg=3),
+        SendStep(receiver="A", body=Ref("x"), msg=3),
     ))
     sim2 = Simulator(topo, honest=[a, b], attackers=[], guardian=g, seed=4)
     sim2.start_initiator("B", reversed_script, 2)

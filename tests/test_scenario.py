@@ -144,6 +144,33 @@ def test_inline_protocol_honest_run():
     assert len(result.trace.steps) == 2
 
 
+def test_inline_node_parses_alike_as_pattern_and_template():
+    # one walker reads the shared node kinds (senc, list, ref, key) the
+    # same way in an expect and in a send
+    echoed = {"senc": [{"list": [{"ref": "n"}, {"key": "K"}]}, {"key": "K"}]}
+    echo = {
+        "constants": {"K": {"symkey": 42}},
+        "agents": {
+            "A": {"initiator": [
+                {"send": {"fresh": "n"}, "to": "B", "msg": 1},
+                {"expect": echoed, "msg": 2},
+            ]},
+            "B": {"responder": [[
+                {"expect": {"bind": "n", "kind": "nonce"}, "msg": 1},
+                {"send": echoed, "to": "A", "msg": 2},
+            ]]},
+        },
+    }
+    result = run_scenario(ScenarioConfig(protocol=echo, guardian=False,
+                                         attack=None, seed=1))
+    assert result.outcome.classification == "NoAttack"
+    a_session = result.sim.honest["A"].sessions[1]
+    assert a_session.status == "complete"
+    expect = a_session.script.steps[1].pattern
+    send = result.sim.honest["B"].responder_scripts[0].steps[1].body
+    assert expect == send
+
+
 def test_step_budget_exhaustion_exit():
     from guardsim.scenario import EXIT_BUDGET
     cfg = ScenarioConfig(protocol="iso-sc-27", guardian=True,
