@@ -9,15 +9,19 @@ a sliding window of recent revisions).  The dataset is indexed by the
 wire views of its entries and of their encryption components, so the
 invariant judges only the entries that could make it fire
 (`InvariantSpec.candidates`), not all of D_G.  A hit expands the
-interference plan into a queue of concrete actions: erase the message in
-transit (capture or stop), inject fakes, and raise the defended agent's
-abort flag over the resilient channel.
+interference plan's three responses into a queue of concrete actions:
+`Intercept` erases the message in transit (an `Erase`, noted as a stop
+or not), `SendFake` injects a fake minted on the spot or a template
+over the captured body (an `Inject`), and `RaiseAbortFlag` raises the
+defended agent's abort flag over the resilient channel (a
+`ResilientSignal`).
 
 The Guardian owns that queue.  Each round the simulator asks it for the
 next action (`propose`), keeps the envelopes it means to capture off the
 delivery list (`captures`) and reports the action it applied
 (`committed`); it never looks inside the queue.  `module_log` is the one
-record of the module verdicts; the two FSM paths are read off it.
+record of the module verdicts and of the guardian's own fakes; the two
+FSM paths are read off it.
 """
 
 from __future__ import annotations
@@ -199,38 +203,25 @@ class FakeSpec:
 
 
 @dataclass
-class Modify:
-    """Replace the captured message in transit with a fake."""
-    fake: FakeSpec = field(default_factory=FakeSpec)
-    mask: str = "claimed"     # claimed sender, or an explicit identity
-    template: Optional[object] = None   # defaults to the bare fake value
-
-
-@dataclass
-class StopMessage:
-    """Take the message off the wire and say so in the trace."""
-
-
-@dataclass
 class Intercept:
-    """Take the message off the wire silently (hold for forwarding)."""
+    """Take the triggering message off the wire; with `stop_note` the
+    trace also says that G stopped it."""
+    stop_note: bool = False
 
 
 @dataclass
 class SendFake:
+    """Inject `template` (None: the bare fake) claimed by `mask` toward
+    `receiver`, at slot `label` (None: the trigger's next subscript).
+    "claimed" and "trigger_receiver" name the triggering message's
+    claimed sender and receiver.  The template reads the trigger
+    pattern's bindings, the triggering body as `captured` and the fake,
+    which is minted unless a binding already holds its name."""
     mask: str
-    receiver: str             # agent name, or "trigger_receiver"
-    template: object          # may reference trigger bindings and fakes
+    receiver: str = "trigger_receiver"
+    template: Optional[object] = None
     label: Optional[str] = None
     fake: Optional[FakeSpec] = None
-
-
-@dataclass
-class ForwardCaptured:
-    """Re-send the captured body onward (delayed forward)."""
-    mask: str
-    receiver: str
-    label: Optional[str] = None
 
 
 @dataclass
@@ -270,35 +261,6 @@ class ModuleLogRow:
         return self.store.p_terms_at(self.revision)
 
 
-@dataclass
-class InjectFake:
-    """A queued fake or forward.  Its body, with any fake values in it,
-    is rendered on first proposal and kept, so a proposal that loses
-    arbitration is offered again unchanged."""
-    mask: str
-    receiver: str
-    slot: Slot
-    template: Optional[object]
-    fakes: Tuple[FakeSpec, ...]
-    bindings: Dict[str, Term]
-    action: Optional[Inject] = None
-
-    def inject(self, guardian: "Guardian", nonce_bits: int) -> Inject:
-        if self.action is None:
-            bindings = dict(self.bindings)
-            for spec in self.fakes:
-                if spec.binding not in bindings:
-                    bindings[spec.binding] = guardian.mint_fake(spec)
-            body = (bindings[self.fakes[0].binding] if self.template is None
-                    else instantiate(self.template, bindings, NullMint(),
-                                     guardian.name, nonce_bits))
-            self.action = Inject(actor=guardian.name, claimed=self.mask,
-                                 body=body, receiver=self.receiver,
-                                 slot=self.slot, rank=0)
-        return self.action
-
-
-PlanItem = Union[Erase, InjectFake, ResilientSignal]
 GuardianAction = Union[Erase, Inject, ResilientSignal]
 
 FAKE_BITS = 64   # width of the guardian's fake values
@@ -325,11 +287,9 @@ class Guardian:
         self.invariant_operative = True
         self.store = GuardianStore()
         self.module_log: List[ModuleLogRow] = []
-        self.pending: List[PlanItem] = []    # the interference plan queue
+        self.pending: List[GuardianAction] = []   # the interference plan queue
         # fires only at quiescence, once the queue is empty
         self.deferred_abort: Optional[ResilientSignal] = None
-        self.fake_value_override: Optional[int] = None
-        self.plan_envelopes: List[int] = []  # seqs of own injected fakes
 
     # -- FSM paths and counts, read off the module log --
 
@@ -412,23 +372,24 @@ class Guardian:
 
     # -- the plan queue --
 
-    def propose(self, net_pending: Dict[int, Envelope],
-                nonce_bits: int) -> Optional[GuardianAction]:
-        """The plan's next action, or None.  Captures of envelopes that
+    def propose(self, net_pending: Dict[int, Envelope]
+                ) -> Optional[GuardianAction]:
+        """The head of the queue, or None.  Captures of envelopes that
         already left the wire are dropped; a fake or an abort waits until
-        the guardian's own fakes have resolved."""
+        the guardian's own fakes (the module-log rows with no verdict)
+        have left the wire.  A head that loses arbitration is offered
+        again unchanged."""
         while (self.pending and isinstance(self.pending[0], Erase)
                and self.pending[0].target_seq not in net_pending):
             self.pending.pop(0)
         if not self.pending:
             return None
         head = self.pending[0]
-        if isinstance(head, Erase):
-            return head
-        if any(seq in net_pending for seq in self.plan_envelopes):
+        if not isinstance(head, Erase) and any(
+                row.ident is None and row.seq in net_pending
+                for row in self.module_log):
             return None
-        return (head.inject(self, nonce_bits) if isinstance(head, InjectFake)
-                else head)
+        return head
 
     def captures(self) -> Set[int]:
         """Seqs of the envelopes the queue means to erase."""
@@ -445,25 +406,19 @@ class Guardian:
 
     def committed(self, action: GuardianAction,
                   seq: Optional[int] = None) -> None:
-        """The simulator applied `action`, which this guardian proposed;
-        `seq` numbers the envelope an inject put on the wire."""
-        head = self.pending[0] if self.pending else None
-        if head is action or (isinstance(head, InjectFake)
-                              and head.action is action):
+        """The simulator applied `action`, the head of the queue or the
+        deferred abort; `seq` numbers the envelope an inject put on the
+        wire."""
+        if self.pending and self.pending[0] is action:
             self.pending.pop(0)
         if isinstance(action, Inject):
             self.record_own(action.body, seq)
-            self.plan_envelopes.append(seq)
 
     # -- interference --
 
     def mint_fake(self, spec: FakeSpec) -> Term:
         while True:
-            if self.fake_value_override is not None:
-                value = self.fake_value_override
-                self.fake_value_override = None
-            else:
-                value = self.rng.getrandbits(FAKE_BITS)
+            value = self.rng.getrandbits(FAKE_BITS)
             term = (Nonce(value=value, width=FAKE_BITS, label=spec.label)
                     if spec.kind == "nonce"
                     else Atom(value=value, label=spec.label))
@@ -471,8 +426,8 @@ class Guardian:
                 return term
 
     def _queue_plan(self, env: Envelope) -> None:
-        """Expand the interference plan into queue items bound to the
-        captured envelope."""
+        """Expand the interference plan into the concrete actions it takes
+        against the triggering envelope, fakes minted now."""
         bindings: Dict[str, Term] = {"captured": env.body}
         if self.plan.trigger_pattern is not None:
             got = match(self.plan.trigger_pattern, env.body, {})
@@ -481,31 +436,25 @@ class Guardian:
                     f"interference plan pattern does not match {render(env.body)}")
             bindings.update(got)
 
-        def fake(mask, receiver, label, template, fakes) -> InjectFake:
-            return InjectFake(mask=mask, receiver=receiver,
-                              slot=parse_label_slot(label, env.slot),
-                              template=template, fakes=fakes,
-                              bindings=bindings)
-
         for resp in self.plan.responses:
-            if isinstance(resp, (Modify, StopMessage, Intercept)):
-                self.pending.append(Erase(
-                    actor=self.name, target_seq=env.seq, rank=0,
-                    stop_note=isinstance(resp, StopMessage)))
-                if isinstance(resp, Modify):
-                    mask = (env.claimed_sender if resp.mask == "claimed"
-                            else resp.mask)
-                    self.pending.append(fake(mask, env.receiver, None,
-                                             resp.template, (resp.fake,)))
+            if isinstance(resp, Intercept):
+                self.pending.append(Erase(actor=self.name, target_seq=env.seq,
+                                          rank=0, stop_note=resp.stop_note))
             elif isinstance(resp, SendFake):
+                bound = dict(bindings)
+                if resp.fake and resp.fake.binding not in bound:
+                    bound[resp.fake.binding] = self.mint_fake(resp.fake)
+                body = (bound[resp.fake.binding] if resp.template is None
+                        else instantiate(resp.template, bound, NullMint(),
+                                         self.name, 64))
+                mask = (env.claimed_sender if resp.mask == "claimed"
+                        else resp.mask)
                 receiver = (env.receiver if resp.receiver == "trigger_receiver"
                             else resp.receiver)
-                self.pending.append(fake(resp.mask, receiver, resp.label,
-                                         resp.template,
-                                         (resp.fake,) if resp.fake else ()))
-            elif isinstance(resp, ForwardCaptured):
-                self.pending.append(fake(resp.mask, resp.receiver, resp.label,
-                                         Ref("captured"), ()))
+                self.pending.append(Inject(
+                    actor=self.name, claimed=mask, body=body,
+                    receiver=receiver,
+                    slot=parse_label_slot(resp.label, env.slot), rank=0))
             elif isinstance(resp, RaiseAbortFlag):
                 signal = ResilientSignal(guardian=self.name, target=resp.target,
                                          label=resp.label, style=resp.style)

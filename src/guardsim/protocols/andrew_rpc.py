@@ -21,8 +21,8 @@ from ..agents import (AttackFunction, Const, Enc, EraseStep, ExpectStep, Inc,
                       InjectStep, ObserveStep, PBind, Ref, RoleScript,
                       SendStep, TFresh, seq)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
-                        InterferencePlan, InvariantSpec, Modify,
-                        RaiseAbortFlag)
+                        Intercept, InterferencePlan, InvariantSpec,
+                        RaiseAbortFlag, SendFake)
 from ..network import Slot
 from ..terms import AgentId, Nonce, Pair, Succ, SymEnc, SymKey, Term
 from . import register
@@ -106,8 +106,9 @@ def make_guardian() -> Guardian:
     crit = Distinguisher("andrew-crit", rules=(
         Enc(seq(PBind("a", "any"), PBind("b", "any")), PBind("k", "any")),))
     plan = InterferencePlan(responses=(
-        Modify(fake=FakeSpec(label="M_fake", kind="atom", binding="fake1"),
-               mask="A"),
+        Intercept(),
+        SendFake(mask="A",
+                 fake=FakeSpec(label="M_fake", kind="atom", binding="fake1")),
         RaiseAbortFlag(target="A", label="4_1", style="abort",
                        mode="after_plan"),
     ))

@@ -19,7 +19,7 @@ from ..agents import (AttackFunction, Const, Enc, EraseStep, ExpectStep,
                       InjectStep, PBind, PPair, Ref, RoleScript, SendStep,
                       TFresh, TKeyLookup, seq)
 from ..guardian import (Distinguisher, Guardian, GuardianFilter,
-                        InterferencePlan, InvariantSpec, StopMessage)
+                        Intercept, InterferencePlan, InvariantSpec)
 from ..network import Slot
 from ..terms import AgentId, Pair, SymEnc, SymKey
 from ..topology import Topology
@@ -125,7 +125,7 @@ def make_guardian(topology: Topology, window: int = 16) -> Guardian:
         seq(PBind("c1", "symenc"), PBind("c2", "symenc")),
     ))
     crit = Distinguisher("bme-crit", rules=(PBind("x", "symenc"),))
-    plan = InterferencePlan(responses=(StopMessage(),))
+    plan = InterferencePlan(responses=(Intercept(stop_note=True),))
     g = Guardian(name="G",
                  filters=(GuardianFilter("inflow", "S", control=False),
                           GuardianFilter("outflow", "S", control=False),

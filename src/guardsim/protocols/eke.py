@@ -22,8 +22,8 @@ from ..agents import (AEnc, AttackFunction, Const, Enc, EraseStep, ExpectStep,
                       InjectStep, PBind, PPair, Ref, RoleScript, SendStep,
                       TDecryptPayload, TFresh, seq)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
-                        InterferencePlan, InvariantSpec, Modify,
-                        RaiseAbortFlag)
+                        Intercept, InterferencePlan, InvariantSpec,
+                        RaiseAbortFlag, SendFake)
 from ..network import Slot
 from ..terms import AgentId, Password
 from . import register
@@ -82,8 +82,9 @@ def make_guardian() -> Guardian:
     crit = Distinguisher("eke-crit", rules=(
         Enc(PBind("n", "nonce"), PBind("k", "any")),))
     plan = InterferencePlan(responses=(
-        Modify(fake=FakeSpec(label="M_fake", kind="atom", binding="fake1"),
-               mask="A"),
+        Intercept(),
+        SendFake(mask="A",
+                 fake=FakeSpec(label="M_fake", kind="atom", binding="fake1")),
         RaiseAbortFlag(target="A", label="1.5", style="abort",
                        mode="deferred"),
     ))

@@ -20,8 +20,8 @@ from ..agents import (AttackFunction, AttackerAgent, Const, Enc, EraseStep,
                       ExpectStep, InjectStep, PBind, Ref, RoleScript, SendStep,
                       TFresh, seq)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
-                        InterferencePlan, InvariantSpec, Modify,
-                        RaiseAbortFlag)
+                        Intercept, InterferencePlan, InvariantSpec,
+                        RaiseAbortFlag, SendFake)
 from ..knowledge import KnowledgeSet
 from ..network import Slot
 from ..terms import AgentId, SymKey
@@ -85,7 +85,8 @@ def make_guardian() -> Guardian:
     ))
     crit = Distinguisher("iso-crit", rules=(PBind("x", "nonce"),))
     plan = InterferencePlan(responses=(
-        Modify(fake=FakeSpec(label="N_fake", kind="nonce"), mask="claimed"),
+        Intercept(),
+        SendFake(mask="claimed", fake=FakeSpec(label="N_fake", kind="nonce")),
         RaiseAbortFlag(target="A", label="2.2", style="raise",
                        mode="deferred"),
     ))

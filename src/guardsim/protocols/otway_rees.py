@@ -18,8 +18,8 @@ from ..agents import (AttackFunction, Const, Enc, EraseStep, ExpectStep,
                       InjectStep, PBind, PPair, Ref, RoleScript, SendStep,
                       TFresh, seq)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
-                        InterferencePlan, InvariantSpec, Modify,
-                        RaiseAbortFlag)
+                        Intercept, InterferencePlan, InvariantSpec,
+                        RaiseAbortFlag, SendFake)
 from ..network import Slot
 from ..terms import AgentId, SymEnc, SymKey
 from . import register
@@ -134,10 +134,10 @@ def make_guardian() -> Guardian:
     plan = InterferencePlan(
         trigger_pattern=seq(PBind("i", "nonce"), PBind("ct", "symenc")),
         responses=(
-            Modify(fake=FakeSpec(label="M_fake", kind="atom",
-                                 binding="fake1"),
-                   mask="A",
-                   template=seq(Ref("i"), Ref("fake1"))),
+            Intercept(),
+            SendFake(mask="A", template=seq(Ref("i"), Ref("fake1")),
+                     fake=FakeSpec(label="M_fake", kind="atom",
+                                   binding="fake1")),
             RaiseAbortFlag(target="A", label="4_1", style="abort",
                            mode="after_plan"),
         ))

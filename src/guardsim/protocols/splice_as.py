@@ -21,7 +21,7 @@ from ..agents import (AEnc, AttackFunction, Const, EraseStep, ExpectStep, Inc,
                       SendStep, TFresh, TKeyLookup, seq)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         InterferencePlan, Intercept, InvariantSpec,
-                        ForwardCaptured, RaiseAbortFlag, SendFake)
+                        RaiseAbortFlag, SendFake)
 from ..network import Slot
 from ..terms import AgentId, AsymKey, Lifetime, Timestamp
 from . import register
@@ -145,7 +145,8 @@ def make_guardian(window: int = 16) -> Guardian:
                      fake=FakeSpec(label="N_fake", kind="nonce",
                                    binding="fake1"),
                      label="5"),
-            ForwardCaptured(mask="AS", receiver="AS", label="6"),
+            SendFake(mask="AS", receiver="AS", template=Ref("captured"),
+                     label="6"),
             RaiseAbortFlag(target="A", label="6", style="abort",
                            mode="after_plan"),
         ))

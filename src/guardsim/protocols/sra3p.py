@@ -19,7 +19,7 @@ from ..agents import (AttackFunction, Const, EraseStep, ExpectStep, InjectStep,
                       PBind, Ref, RoleScript, SendStep, TCommEnc, TCommStrip,
                       TFresh)
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
-                        InterferencePlan, InvariantSpec, Modify,
+                        Intercept, InterferencePlan, InvariantSpec,
                         RaiseAbortFlag, SendFake)
 from ..knowledge import derivable
 from ..network import Slot
@@ -66,9 +66,10 @@ def make_guardian() -> Guardian:
         PBind("x", "commenc"), PBind("y", "leaf")))
     crit = Distinguisher("sra3p-crit", rules=(PBind("x", "commenc"),))
     plan = InterferencePlan(responses=(
-        Modify(fake=FakeSpec(label="M_fake", kind="atom", binding="fake1"),
-               mask="A"),
-        SendFake(mask="A", receiver="B", template=None,
+        Intercept(),
+        SendFake(mask="A",
+                 fake=FakeSpec(label="M_fake", kind="atom", binding="fake1")),
+        SendFake(mask="A", receiver="B",
                  fake=FakeSpec(label="M'_fake", kind="atom", binding="fake2"),
                  label="3"),
         RaiseAbortFlag(target="A", label="3", style="abort",

@@ -131,7 +131,7 @@ class Simulator:
                          if isinstance(p, Erase)}
         if g is not None:
             # propose first: it drops the captures that went stale
-            guardian_prop = g.propose(self.net.pending, self.nonce_bits)
+            guardian_prop = g.propose(self.net.pending)
             erase_targets |= g.captures()
         # pending holds envelopes in the order they entered, which is seq
         # order: the first one nobody means to erase is the one delivered

@@ -4,10 +4,10 @@ A run keeps one record: the append-only list of network actions in
 `NetworkState.history`, each entry pointing at its envelope.  The
 presentation trace is a view of it, one step per message fate (delivered
 or taken) plus the guardian notes that go with the record's entries (a
-stop after a StopMessage erase, the abort after a signal); the NDJSON
-trace file and the replay check read the same list.  The steps carry the
-conventional annotations, e.g. ``A -> E(B) : N_A`` for a send taken by E
-masquerading as B, and merged credits like ``E_{1,2}(B)``.
+stop after an erase with a stop note, the abort after a signal); the
+NDJSON trace file and the replay check read the same list.  The steps
+carry the conventional annotations, e.g. ``A -> E(B) : N_A`` for a send
+taken by E masquerading as B, and merged credits like ``E_{1,2}(B)``.
 """
 
 from __future__ import annotations

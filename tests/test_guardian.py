@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from guardsim.agents import PBind, seq
 from guardsim.guardian import (Distinguisher, FakeSpec, Guardian,
                                GuardianFilter, GuardianStore,
-                               InterferencePlan, InvariantSpec, StopMessage,
+                               Intercept, InterferencePlan, InvariantSpec,
                                is_defense_mechanism,
                                topological_advantage, verify_inverse)
 from guardsim.montecarlo import monte_carlo_fp
@@ -79,7 +79,7 @@ def test_windowed_invariant_slides_forward():
                      "guardsim.agents", fromlist=["PBind"]).PBind("x", "nonce"),)),
                  crit=Distinguisher("c", rules=(__import__(
                      "guardsim.agents", fromlist=["PBind"]).PBind("x", "nonce"),)),
-                 invariant=inv, plan=InterferencePlan(responses=(StopMessage(),)),
+                 invariant=inv, plan=InterferencePlan(responses=(Intercept(stop_note=True),)),
                  window=2)
     g.process(spied_env(NA, seq=1))
     # push the original out of the two-revision window

@@ -568,6 +568,7 @@ def test_splice_fn_window_expiry():
 def test_splice_fn_fake_collides_with_increment():
     # forcing the fake draw to N_2+1 lets A accept the guardian's fake:
     # the run completes deceived despite the interference
+    import random
     case = builtin("splice-as")
     wiring = case.wire(guardian=True, attack="classic")
     sim = wiring.simulator(seed=5)
@@ -576,7 +577,17 @@ def test_splice_fn_fake_collides_with_increment():
 
     wiring2 = case.wire(guardian=True, attack="classic")
     sim2 = wiring2.simulator(seed=5)
-    sim2.guardian.fake_value_override = n2.value + 1
+
+    class FirstDrawForced(random.Random):
+        forced = n2.value + 1
+
+        def getrandbits(self, k):
+            value, self.forced = self.forced, None
+            return super().getrandbits(k) if value is None else value
+
+    rng = FirstDrawForced()
+    rng.setstate(sim2.guardian.rng.getstate())
+    sim2.guardian.rng = rng
     result = sim2.run()
     outcome = evaluate(result, "A", True, case.success_extra)
     assert result.guardian.interference_count > 0
