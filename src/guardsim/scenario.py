@@ -156,10 +156,7 @@ class ScenarioConfig:
         if "protocol" not in data:
             raise ConfigError("scenario needs a protocol")
         for name in ("seed", "nonce_bits", "max_steps"):
-            # bool is an int subclass, but `true` is no count
-            value = data.get(name, 0)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
+            _integer(data.get(name, 0), name)
         if not isinstance(data.get("guardian", True), bool):
             raise ConfigError("guardian must be true or false")
         for name in ("topology", "attack"):
@@ -269,6 +266,20 @@ def write_trace_file(result: SimResult, path: str) -> None:
 
 # -- inline protocol specs (honest roles only) -------------------------------
 
+def _integer(value, what: str) -> int:
+    # bool is an int subclass, but `true` is no count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _string(spec: dict, field: str, default=None) -> str:
+    value = spec.get(field, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{field} must be a string, not {value!r}")
+    return value
+
+
 def _sequence(value, what: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{what} must be a list, not {value!r}")
@@ -281,20 +292,20 @@ def _parse_node(spec, constants, role):
     `fresh` only in a template."""
     if isinstance(spec, dict):
         if role == "template" and "fresh" in spec:
-            kind = spec.get("kind", "nonce")
+            kind = _string(spec, "kind", "nonce")
             if kind not in FreshMint.KINDS:
                 raise ConfigError(f"unknown fresh kind {kind!r}; known: "
                                   f"{list(FreshMint.KINDS)}")
-            return TFresh(binding=spec["fresh"], kind=kind,
-                          label=spec.get("label", "N_{agent}"))
+            return TFresh(binding=_string(spec, "fresh"), kind=kind,
+                          label=_string(spec, "label", "N_{agent}"))
         if role == "pattern" and "bind" in spec:
-            kind = spec.get("kind", "any")
+            kind = _string(spec, "kind", "any")
             if kind not in KIND_CHECKS:
                 raise ConfigError(f"unknown pattern kind {kind!r}; known: "
                                   f"{sorted(KIND_CHECKS)}")
-            return PBind(spec["bind"], kind)
+            return PBind(_string(spec, "bind"), kind)
         if "ref" in spec:
-            return Ref(spec["ref"])
+            return Ref(_string(spec, "ref"))
         if "key" in spec:
             name = spec["key"]
             if not isinstance(name, str) or name not in constants:
@@ -314,8 +325,9 @@ def _parse_node(spec, constants, role):
 def _parse_script(name, steps, constants, agents):
     parsed = []
     for step in _sequence(steps, f"{name} steps"):
-        if not isinstance(step, dict):
+        if not isinstance(step, dict) or not step.keys() & {"send", "expect"}:
             raise ConfigError(f"bad role step {step!r}")
+        msg = _integer(step["msg"], "msg")
         if "send" in step:
             if not isinstance(step["to"], str) or step["to"] not in agents:
                 raise ConfigError(f"{name} sends to {step['to']!r}, "
@@ -323,13 +335,11 @@ def _parse_script(name, steps, constants, agents):
             parsed.append(SendStep(receiver=step["to"],
                                    body=_parse_node(step["send"], constants,
                                                     "template"),
-                                   msg=step["msg"]))
-        elif "expect" in step:
+                                   msg=msg))
+        else:
             parsed.append(ExpectStep(pattern=_parse_node(step["expect"],
                                                          constants, "pattern"),
-                                     msg=step["msg"]))
-        else:
-            raise ConfigError(f"bad role step {step!r}")
+                                     msg=msg))
     return RoleScript(name=name, steps=tuple(parsed))
 
 

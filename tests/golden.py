@@ -35,16 +35,11 @@ SEEDS = (0, 1, 2)
 ENUM_DEPTH = 3
 
 
-class Digest:
-    def __init__(self):
-        self.h = hashlib.sha256()
-
-    def add(self, *records) -> None:
-        for record in records:
-            self.h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
-
-    def hexdigest(self) -> str:
-        return self.h.hexdigest()
+def digest(records) -> str:
+    h = hashlib.sha256()
+    for record in records:
+        h.update(json.dumps(record, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
 
 
 def _run_records(case, kind, attack, guardian, seed, trace_path):
@@ -76,34 +71,30 @@ def compute() -> dict:
         for name in builtin_names():
             case = builtin(name)
             for kind in case.applicable_kinds():
-                d = Digest()
+                records = []
                 for attack in (None, *case.attack_names):
                     for guardian in (False, True):
                         for seed in SEEDS:
-                            d.add((attack, guardian, seed),
-                                  *_run_records(case, kind, attack,
-                                                guardian, seed, trace_path))
-                out[f"run/{name}/{kind}"] = d.hexdigest()
+                            records.append((attack, guardian, seed))
+                            records += _run_records(case, kind, attack,
+                                                    guardian, seed, trace_path)
+                out[f"run/{name}/{kind}"] = digest(records)
 
-    d = Digest()
-    for n, res in enumerate_interaction_cases().items():
-        d.add(n, res.trace_name, res.trace.lines(), res.result,
-              res.dominant, res.detail)
-    out["cases"] = d.hexdigest()
+    out["cases"] = digest(
+        record for n, res in enumerate_interaction_cases().items()
+        for record in (n, res.trace_name, res.trace.lines(), res.result,
+                       res.dominant, res.detail))
 
     report = defense_matrix()
-    d = Digest()
-    d.add(report.to_json(), report.render())
-    out["matrix"] = d.hexdigest()
+    out["matrix"] = digest((report.to_json(), report.render()))
 
     for name in builtin_names():
         case = builtin(name)
         rep = enumerate_attacks(case, case.home_topology,
                                 max_choices=ENUM_DEPTH)
-        d = Digest()
-        d.add(rep.runs, rep.false_negatives, rep.fn_witnesses,
-              rep.deceptions_detected)
-        out[f"enum/{name}"] = d.hexdigest()
+        out[f"enum/{name}"] = digest((rep.runs, rep.false_negatives,
+                                      rep.fn_witnesses,
+                                      rep.deceptions_detected))
     return out
 
 

@@ -78,6 +78,20 @@ def test_bad_scenario_config_exit(tmp_path):
     json.dumps({"protocol": "iso-sc-27", "topology": "Z"}),
     json.dumps({"protocol": "iso-sc-27", "topology": "a"}),
     json.dumps({"protocol": {"agents": {"A": {}, "B": {}}}, "topology": "a"}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"fresh": "na"}, "to": "B", "msg": 1}]}, "B": {"responder": [
+            [{"expect": {"bind": "x", "kind": []}, "msg": 1}]]}}}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"fresh": ["n"]}, "to": "B", "msg": 1}]}, "B": {}}}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"fresh": "n", "label": 5}, "to": "B", "msg": 1}]},
+        "B": {}}}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"ref": 7}, "to": "B", "msg": 1}]}, "B": {}}}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"fresh": "na"}, "to": "B", "msg": "x"}]}, "B": {}}}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"fresh": "na"}, "to": "B", "msg": True}]}, "B": {}}}}),
 ])
 def test_bad_scenario_input_exit(tmp_path, text):
     path = tmp_path / "bad.json"

@@ -101,6 +101,40 @@ def test_fake_values_distinct_from_dataset():
     assert fake.label == "N_fake"
 
 
+def test_plan_expands_into_concrete_actions():
+    from guardsim.agents import Ref
+    from guardsim.guardian import RaiseAbortFlag, SendFake
+    from guardsim.network import Erase, Inject, ResilientSignal
+    from guardsim.terms import wire_view
+
+    g = make_guardian()
+    g.plan = InterferencePlan(responses=(
+        Intercept(stop_note=True),
+        SendFake(mask="claimed", fake=FakeSpec(label="N_fake", kind="nonce")),
+        SendFake(mask="AS", receiver="AS", template=Ref("captured"),
+                 label="6"),
+        RaiseAbortFlag(target="A", label="2.2", style="raise"),
+    ))
+    g.process(spied_env(NA, seq=1))
+    replay = spied_env(NA, seq=2)
+    assert g.process(replay)
+    erase, fake, forward, signal = g.pending
+    assert erase == Erase(actor="G", target_seq=2, rank=0, stop_note=True)
+    assert isinstance(fake, Inject)
+    assert (fake.actor, fake.claimed, fake.receiver, fake.slot, fake.rank) \
+        == ("G", "B", "A", Slot(2, 1, 0, 1), 0)
+    assert fake.body.label == "N_fake"
+    assert wire_view(fake.body) not in g.store.entries
+    assert forward == Inject(actor="G", claimed="AS", body=NA, receiver="AS",
+                             slot=Slot(2, 6), rank=0)
+    assert signal == ResilientSignal(guardian="G", target="A", label="2.2",
+                                     style="raise")
+    # the queue hands out the actions themselves, unchanged until applied
+    assert g.propose({2: replay}) is erase
+    g.committed(erase)
+    assert g.propose({}) is fake and g.propose({}) is fake
+
+
 def test_topological_advantage_examples():
     topo_a = base_topology("A", honest=("A", "B"))
     topo_b = base_topology("B", honest=("A", "B"))
