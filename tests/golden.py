@@ -9,6 +9,7 @@ Parts:
   cases                 the six two-attacker interaction cases
   matrix                `defense_matrix()` as JSON and rendered
   enum/<study>          `enumerate_attacks` at depth 3 on the home layout
+  enum/<study>/<layout> the same on every other layout the study runs on
 
 `python tests/golden.py` prints the digests as JSON; `--write` rewrites
 tests/golden_digests.json.  Only a change that alters behaviour on
@@ -90,11 +91,12 @@ def compute() -> dict:
 
     for name in builtin_names():
         case = builtin(name)
-        rep = enumerate_attacks(case, case.home_topology,
-                                max_choices=ENUM_DEPTH)
-        out[f"enum/{name}"] = digest((rep.runs, rep.false_negatives,
-                                      rep.fn_witnesses,
-                                      rep.deceptions_detected))
+        for kind in case.applicable_kinds():
+            rep = enumerate_attacks(case, kind, max_choices=ENUM_DEPTH)
+            key = (f"enum/{name}" if kind == case.home_topology
+                   else f"enum/{name}/{kind}")
+            out[key] = digest((rep.runs, rep.false_negatives,
+                               rep.fn_witnesses, rep.deceptions_detected))
     return out
 
 
