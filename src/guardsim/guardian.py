@@ -43,7 +43,6 @@ from .topology import Topology
 class Distinguisher:
     """Deterministic structural classifier: 1 iff any rule pattern
     matches."""
-    name: str
     rules: Sequence[object]
 
     def __call__(self, m: Term) -> int:
@@ -222,6 +221,11 @@ class SendFake:
     template: Optional[object] = None
     label: Optional[str] = None
     fake: Optional[FakeSpec] = None
+
+    def __post_init__(self):
+        if self.template is None and self.fake is None:
+            raise ValueError(f"SendFake masked as {self.mask!r} has neither "
+                             f"a template nor a fake to send")
 
 
 @dataclass

@@ -113,15 +113,10 @@ def evaluate_cell(case, kind: str, seed: int = 0) -> Cell:
         attackers, case.attacks[case.attack_names[0]].function(),
         case.inverse_table or None, case.inverse_samples or None)
 
-    witness = None
-    gap = case.matrix_fn_witness(kind, seed) if case.matrix_fn_witness else False
-    if gap:
-        witness = case.fn_conditions[0] if case.fn_conditions else "documented gap"
-    else:
-        for attack, fn in fn_by_attack.items():
-            if fn > 0:
-                witness = f"attack {attack!r} completed undetected"
-                break
+    gap = case.matrix_fn_witness and case.matrix_fn_witness(kind, seed)
+    witness = gap or next((f"attack {attack!r} completed undetected"
+                           for attack, fn in fn_by_attack.items() if fn > 0),
+                          None)
 
     fns = [v for v in fn_by_attack.values() if v >= 0]
     any_fn = any(v > 0 for v in fns) or gap

@@ -101,14 +101,13 @@ def old_round_ciphertext(na_value: int = 77001, nb_value: int = 77002) -> Term:
 
 
 def make_guardian() -> Guardian:
-    ident = Distinguisher("andrew-id", rules=(
-        Enc(PBind("p", "any"), PBind("k", "any")),))
-    crit = Distinguisher("andrew-crit", rules=(
+    ident = Distinguisher(rules=(Enc(PBind("p", "any"), PBind("k", "any")),))
+    crit = Distinguisher(rules=(
         Enc(seq(PBind("a", "any"), PBind("b", "any")), PBind("k", "any")),))
     plan = InterferencePlan(responses=(
         Intercept(),
         SendFake(mask="A",
-                 fake=FakeSpec(label="M_fake", kind="atom", binding="fake1")),
+                 fake=FakeSpec(label="M_fake", kind="atom")),
         RaiseAbortFlag(target="A", label="4_1", style="abort",
                        mode="after_plan"),
     ))
@@ -121,8 +120,7 @@ def make_guardian() -> Guardian:
 CASE = register(CaseStudy(
     name="andrew-rpc",
     defended_agent="A",
-    defense_class="Partial",
-    viable_topologies=("A",),
+    home_topology="A",
     roles={"A": (), "B": (partial(responder_script, "A"),)},
     initiator=initiator_script,
     attacks={
@@ -134,10 +132,5 @@ CASE = register(CaseStudy(
     make_guardian=lambda topology: make_guardian(),
     attacker_interest=("A",),
     attacker_knowledge=(AgentId("A"), AgentId("B")),
-    fn_conditions=(
-        "a replay of a message (4) from before the guardian's dataset "
-        "existed passes the invariant once",
-    ),
-    message_count=4,
     monitored_slots=(("A", "B"),),
 ))

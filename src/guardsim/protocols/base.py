@@ -1,5 +1,5 @@
 """Shared shape of a case study: a protocol's roles and attacks as data,
-the guardian configuration per topology, the documented expectations,
+the guardian configuration per topology, the shared compromise check,
 and the one wiring path that assembles a run from them."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..agents import AttackerAgent, AttackFunction, HonestAgent, RoleScript
 from ..guardian import Guardian
-from ..knowledge import KnowledgeSet
+from ..knowledge import KnowledgeSet, derivable
 from ..simulator import Simulator
 from ..terms import Term
 from ..topology import ConfigError, Topology, base_topology
@@ -36,6 +36,20 @@ class Wiring:
         return sim
 
 
+def binding_derivable(agent: str, name: str) -> Callable[[object], bool]:
+    """The success check "a completed session of `agent` bound `name` to
+    a term some attacker can derive": a planted key or a leaked secret
+    deceives the agent even when every message it took looked genuine."""
+    def compromised(result) -> bool:
+        honest = result.honest.get(agent)
+        return honest is not None and any(
+            sess.status == "complete" and sess.bindings.get(name) is not None
+            and any(derivable(att.knowledge, sess.bindings[name])
+                    for att in result.attackers)
+            for sess in honest.sessions.values())
+    return compromised
+
+
 @dataclass(frozen=True)
 class Attack:
     """One attack of a study: its attack-function factory, the terms the
@@ -51,22 +65,24 @@ class Attack:
 
 @dataclass
 class CaseStudy:
-    """A built-in protocol with its documented defense profile.
+    """A built-in protocol as data; its defense class and viable layouts
+    are what the defense matrix observes, not declarations.
 
     `wire(kind, guardian, attack)` assembles a run; the seed and the
     nonce width are the simulator's (`Wiring.simulator`).  Kind None
-    uses the study's home topology, and any other kind must be one of
+    uses `home_topology`, and any other kind must be one of
     `applicable_kinds()`; attack None runs honestly, and "classic" names
     the first attack of a study whose attacks have other names.  Honest
     agents are built from `roles`, in order; A starts `initiator` toward
     B as session 1; the attacker E watches `attacker_interest`, knows
     `attacker_knowledge` and the chosen attack's own terms;
     `make_guardian(topology)` builds the guardian for the layout in use.
+    `success_extra(result)` is a deception the transcript does not show;
+    `matrix_fn_witness(kind, seed)` describes a gap the run shows, or None.
     """
     name: str
     defended_agent: str
-    defense_class: str                       # "Total" | "Partial"
-    viable_topologies: Tuple[str, ...]
+    home_topology: str
     roles: Dict[str, Tuple[Callable[[], RoleScript], ...]]
     initiator: Callable[[str], RoleScript]
     attacks: Dict[str, Attack]
@@ -74,15 +90,12 @@ class CaseStudy:
     attacker_interest: Tuple[str, ...]
     attacker_knowledge: Tuple[Term, ...] = ()
     conditional_topologies: Dict[str, str] = field(default_factory=dict)
-    fn_conditions: Tuple[str, ...] = ()
-    message_count: int = 0
     monitored_slots: Tuple[Tuple[str, str], ...] = ()
     # receiver -> the identity the enumerated attacker claims toward it
     masks: Dict[str, str] = field(default_factory=lambda: {"A": "B"})
-    success_extra: Optional[Callable] = None  # extra deception predicate
+    success_extra: Optional[Callable] = None
     inverse_table: Dict[int, Callable] = field(default_factory=dict)
     inverse_samples: Dict[int, Tuple] = field(default_factory=dict)
-    # reproduces the documented partial-defense gap in a viable topology
     matrix_fn_witness: Optional[Callable] = None
 
     def __post_init__(self):
@@ -97,10 +110,6 @@ class CaseStudy:
     @property
     def registered_attacks(self) -> Tuple[str, ...]:
         return tuple(n for n, a in self.attacks.items() if a.registered)
-
-    @property
-    def home_topology(self) -> str:
-        return self.viable_topologies[0]
 
     def applicable_kinds(self) -> Tuple[str, ...]:
         return ("A", "B") if len(self.roles) == 2 else ("C", "D", "E", "F")

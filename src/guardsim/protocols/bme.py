@@ -15,6 +15,8 @@ A's side.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..agents import (AttackFunction, Const, Enc, EraseStep, ExpectStep,
                       InjectStep, PBind, PPair, Ref, RoleScript, SendStep,
                       TFresh, TKeyLookup, seq)
@@ -24,7 +26,7 @@ from ..network import Slot
 from ..terms import AgentId, Pair, SymEnc, SymKey
 from ..topology import Topology
 from . import register
-from .base import Attack, CaseStudy
+from .base import Attack, CaseStudy, binding_derivable
 
 KEY_AS = SymKey(value=7001, label="K_AS")
 KEY_BS = SymKey(value=7002, label="K_BS")
@@ -119,12 +121,12 @@ def attack_trace_4() -> AttackFunction:
 
 
 def make_guardian(topology: Topology, window: int = 16) -> Guardian:
-    ident = Distinguisher("bme-id", rules=(
+    ident = Distinguisher(rules=(
         PBind("x", "symenc"),
         seq(PBind("a", "agent"), PBind("b", "agent")),
         seq(PBind("c1", "symenc"), PBind("c2", "symenc")),
     ))
-    crit = Distinguisher("bme-crit", rules=(PBind("x", "symenc"),))
+    crit = Distinguisher(rules=(PBind("x", "symenc"),))
     plan = InterferencePlan(responses=(Intercept(stop_note=True),))
     g = Guardian(name="G",
                  filters=(GuardianFilter("inflow", "S", control=False),
@@ -142,29 +144,17 @@ def make_guardian(topology: Topology, window: int = 16) -> Guardian:
     return g
 
 
-def key_planted(result) -> bool:
-    """B accepted a session key the attacker can derive."""
-    from ..knowledge import derivable
-    b = result.honest.get("B")
-    if b is None:
-        return False
-    for sess in b.sessions.values():
-        if sess.status != "complete":
-            continue
-        kab = sess.bindings.get("kab")
-        if kab is not None and any(derivable(att.knowledge, kab)
-                                   for att in result.attackers):
-            return True
-    return False
-
-
-def a_scope_gap(kind: str = "D", seed: int = 0) -> bool:
-    """The documented partiality: the reply-swap variant deceives A even
-    while B stays protected."""
+def a_scope_gap(kind: str = "D", seed: int = 0) -> Optional[str]:
+    """The partiality: the reply-swap variant deceives A even while B
+    stays protected.  The gap's description, or None where the run
+    does not show it."""
     from ..scenario import evaluate
     res = CASE.wire(kind=kind, guardian=True,
                     attack="trace-2").simulator(seed=seed).run()
-    return evaluate(res, "A", True).false_negatives > 0
+    if evaluate(res, "A", True).false_negatives > 0:
+        return ("traces 2 and 4 deceive A undetected; the guardian "
+                "defends only B")
+    return None
 
 
 def _identity(out):
@@ -176,8 +166,7 @@ def _identity(out):
 CASE = register(CaseStudy(
     name="bme-fixed",
     defended_agent="B",
-    defense_class="Partial",
-    viable_topologies=("D",),
+    home_topology="D",
     roles={"A": (), "B": (b_responder_script,), "S": (server_script,)},
     initiator=initiator_script,
     attacks={"trace-1": Attack(attack_trace_1, honest_run=False),
@@ -190,12 +179,9 @@ CASE = register(CaseStudy(
                         *old_tickets()),
     conditional_topologies={"C": "defends A only for the reply-swap "
                                  "variants (traces 2 and 4)"},
-    fn_conditions=("traces 2 and 4 deceive A undetected; the guardian "
-                   "defends only B",),
-    message_count=3,
     monitored_slots=(("A", "S"), ("A", "B")),
     masks={"B": "A"},
-    success_extra=key_planted,
+    success_extra=binding_derivable("B", "kab"),
     inverse_table={1: _identity, 2: _identity, 3: _identity},
     inverse_samples={1: (old_tickets()[2], old_tickets()[2])},
     matrix_fn_witness=a_scope_gap,

@@ -77,14 +77,12 @@ def classic_attack() -> AttackFunction:
 
 
 def make_guardian() -> Guardian:
-    ident = Distinguisher("eke-id", rules=(
-        Enc(PBind("p", "any"), PBind("k", "any")),))
-    crit = Distinguisher("eke-crit", rules=(
-        Enc(PBind("n", "nonce"), PBind("k", "any")),))
+    ident = Distinguisher(rules=(Enc(PBind("p", "any"), PBind("k", "any")),))
+    crit = Distinguisher(rules=(Enc(PBind("n", "nonce"), PBind("k", "any")),))
     plan = InterferencePlan(responses=(
         Intercept(),
         SendFake(mask="A",
-                 fake=FakeSpec(label="M_fake", kind="atom", binding="fake1")),
+                 fake=FakeSpec(label="M_fake", kind="atom")),
         RaiseAbortFlag(target="A", label="1.5", style="abort",
                        mode="deferred"),
     ))
@@ -98,8 +96,7 @@ def make_guardian() -> Guardian:
 CASE = register(CaseStudy(
     name="eke",
     defended_agent="A",
-    defense_class="Total",
-    viable_topologies=("A",),
+    home_topology="A",
     roles={"A": (partial(responder_script, "B"),),
            "B": (partial(responder_script, "A"),)},
     initiator=initiator_script,
@@ -107,6 +104,5 @@ CASE = register(CaseStudy(
     make_guardian=lambda topology: make_guardian(),
     attacker_interest=("A",),
     attacker_knowledge=(AgentId("A"), AgentId("B")),
-    message_count=5,
     monitored_slots=(("A", "B"),),
 ))

@@ -79,11 +79,11 @@ def make_attacker(name: str = "E", variant: str = "proceed",
 
 
 def make_guardian() -> Guardian:
-    ident = Distinguisher("iso-id", rules=(
+    ident = Distinguisher(rules=(
         PBind("x", "nonce"),
         Enc(PBind("p", "any"), PBind("k", "any")),
     ))
-    crit = Distinguisher("iso-crit", rules=(PBind("x", "nonce"),))
+    crit = Distinguisher(rules=(PBind("x", "nonce"),))
     plan = InterferencePlan(responses=(
         Intercept(),
         SendFake(mask="claimed", fake=FakeSpec(label="N_fake", kind="nonce")),
@@ -100,8 +100,7 @@ def make_guardian() -> Guardian:
 CASE = register(CaseStudy(
     name="iso-sc-27",
     defended_agent="A",
-    defense_class="Total",
-    viable_topologies=("A",),
+    home_topology="A",
     roles={"A": (partial(responder_script, "B"),),
            "B": (partial(responder_script, "A"),)},
     initiator=initiator_script,
@@ -109,7 +108,6 @@ CASE = register(CaseStudy(
     make_guardian=lambda topology: make_guardian(),
     attacker_interest=("A",),
     attacker_knowledge=(AgentId("A"), AgentId("B")),
-    message_count=3,
     monitored_slots=(("A", "B"),),
 ))
 wire = CASE.wire

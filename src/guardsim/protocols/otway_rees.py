@@ -23,7 +23,7 @@ from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
 from ..network import Slot
 from ..terms import AgentId, SymEnc, SymKey
 from . import register
-from .base import Attack, CaseStudy
+from .base import Attack, CaseStudy, binding_derivable
 
 KEY_AS = SymKey(value=4001, label="K_AS")
 KEY_BS = SymKey(value=4002, label="K_BS")
@@ -102,34 +102,13 @@ def attack_trace_2() -> AttackFunction:
     ))
 
 
-def key_compromised(result) -> bool:
-    """A's accepted session key must be a proper fresh key; anything else
-    (the type-flawed agent triple, or attacker-derivable material) is a
-    compromise even when the last hop came from an honest peer."""
-    from ..knowledge import derivable
-    a = result.honest.get("A")
-    if a is None:
-        return False
-    for sess in a.sessions.values():
-        if sess.status != "complete":
-            continue
-        kab = sess.bindings.get("kab")
-        if kab is None:
-            continue
-        if not isinstance(kab, SymKey):
-            return True
-        if any(derivable(att.knowledge, kab) for att in result.attackers):
-            return True
-    return False
-
-
 def make_guardian() -> Guardian:
-    ident = Distinguisher("otway-id", rules=(
+    ident = Distinguisher(rules=(
         seq(PBind("i", "nonce"), PBind("a", "agent"), PBind("b", "agent"),
             PBind("ct", "symenc")),
         seq(PBind("i", "nonce"), PBind("ct", "symenc")),
     ))
-    crit = Distinguisher("otway-crit", rules=(
+    crit = Distinguisher(rules=(
         seq(PBind("i", "nonce"), PBind("ct", "symenc")),))
     plan = InterferencePlan(
         trigger_pattern=seq(PBind("i", "nonce"), PBind("ct", "symenc")),
@@ -170,8 +149,7 @@ def _inverse_sample():
 CASE = register(CaseStudy(
     name="otway-rees",
     defended_agent="A",
-    defense_class="Total",
-    viable_topologies=("C", "E"),
+    home_topology="C",
     roles={"A": (), "B": (b_responder_script,), "S": (server_script,)},
     initiator=initiator_script,
     attacks={"trace-1": Attack(attack_trace_1),
@@ -182,10 +160,9 @@ CASE = register(CaseStudy(
     conditional_topologies={
         "D": "defends A only against the server-masquerade variant",
         "F": "defends A only against the server-masquerade variant"},
-    message_count=4,
     monitored_slots=(("A", "B"),),
     masks={"A": "B", "B": "S"},
-    success_extra=key_compromised,
+    success_extra=binding_derivable("A", "kab"),
     inverse_table={2: _invert_direct},
     inverse_samples={2: _inverse_sample()},
 ))

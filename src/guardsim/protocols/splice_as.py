@@ -132,8 +132,8 @@ def classic_attack() -> AttackFunction:
 def make_guardian(window: int = 16) -> Guardian:
     request = seq(PBind("p", "agent"), PBind("q", "agent"),
                   PBind("n", "nonce"))
-    ident = Distinguisher("splice-id", rules=(request,))
-    crit = Distinguisher("splice-crit", rules=(request,))
+    ident = Distinguisher(rules=(request,))
+    crit = Distinguisher(rules=(request,))
     plan = InterferencePlan(
         trigger_pattern=request,
         responses=(
@@ -212,8 +212,7 @@ def _inverse_samples():
 CASE = register(CaseStudy(
     name="splice-as",
     defended_agent="A",
-    defense_class="Total",
-    viable_topologies=("C",),
+    home_topology="C",
     roles={"A": (), "B": (b_responder_script,), "AS": (server_script,)},
     initiator=initiator_script,
     attacks={"classic": Attack(classic_attack)},
@@ -223,7 +222,6 @@ CASE = register(CaseStudy(
                         AgentId("E"), K_E_PRIV, K_E_PUB, K_A_PUB, K_B_PUB,
                         K_AS_PUB),
     conditional_topologies={"D": "can still raise A's abort flag"},
-    message_count=6,
     monitored_slots=(("A", "AS"), ("B", "AS")),
     success_extra=deceived_by_retarget,
     inverse_table={2: _invert_resign, 4: _invert_retarget},

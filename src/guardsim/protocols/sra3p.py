@@ -21,11 +21,10 @@ from ..agents import (AttackFunction, Const, EraseStep, ExpectStep, InjectStep,
 from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         Intercept, InterferencePlan, InvariantSpec,
                         RaiseAbortFlag, SendFake)
-from ..knowledge import derivable
 from ..network import Slot
 from ..terms import AgentId, SymKey
 from . import register
-from .base import Attack, CaseStudy
+from .base import Attack, CaseStudy, binding_derivable
 
 KEY_A = SymKey(value=2001, label="K_A")
 KEY_B = SymKey(value=2002, label="K_B")
@@ -62,15 +61,14 @@ def classic_attack() -> AttackFunction:
 
 
 def make_guardian() -> Guardian:
-    ident = Distinguisher("sra3p-id", rules=(
-        PBind("x", "commenc"), PBind("y", "leaf")))
-    crit = Distinguisher("sra3p-crit", rules=(PBind("x", "commenc"),))
+    ident = Distinguisher(rules=(PBind("x", "commenc"), PBind("y", "leaf")))
+    crit = Distinguisher(rules=(PBind("x", "commenc"),))
     plan = InterferencePlan(responses=(
         Intercept(),
         SendFake(mask="A",
-                 fake=FakeSpec(label="M_fake", kind="atom", binding="fake1")),
+                 fake=FakeSpec(label="M_fake", kind="atom")),
         SendFake(mask="A", receiver="B",
-                 fake=FakeSpec(label="M'_fake", kind="atom", binding="fake2"),
+                 fake=FakeSpec(label="M'_fake", kind="atom"),
                  label="3"),
         RaiseAbortFlag(target="A", label="3", style="abort",
                        mode="after_plan"),
@@ -82,32 +80,16 @@ def make_guardian() -> Guardian:
                     invariant=InvariantSpec("replay-equality"), plan=plan)
 
 
-def secret_leaked(result) -> bool:
-    """The attack succeeds when the attacker can derive A's secret."""
-    for agent in result.honest.values():
-        if agent.name != "A":
-            continue
-        for sess in agent.sessions.values():
-            m = sess.bindings.get("m")
-            if m is not None:
-                for att in result.attackers:
-                    if derivable(att.knowledge, m):
-                        return True
-    return False
-
-
 CASE = register(CaseStudy(
     name="sra3p",
     defended_agent="A",
-    defense_class="Total",
-    viable_topologies=("A",),
+    home_topology="A",
     roles={"A": (), "B": (partial(responder_script, "A"),)},
     initiator=initiator_script,
     attacks={"classic": Attack(classic_attack)},
     make_guardian=lambda topology: make_guardian(),
     attacker_interest=("A",),
     attacker_knowledge=(AgentId("A"), AgentId("B")),
-    message_count=3,
     monitored_slots=(("A", "B"),),
-    success_extra=secret_leaked,
+    success_extra=binding_derivable("A", "m"),
 ))

@@ -286,26 +286,35 @@ def _sequence(value, what: str) -> list:
     return value
 
 
-def _parse_node(spec, constants, role):
+def _parse_node(spec, constants, role, bound, where):
     """One inline node, read as a "pattern" or a "template": the node
     kinds are shared, except that `bind` is read only in a pattern and
-    `fresh` only in a template."""
+    `fresh` only in a template.  `bound` collects the names bound so far
+    in the order `match` and `instantiate` read them (a key before its
+    payload, list items left to right); a `ref` to another name is
+    refused, naming `where`."""
     if isinstance(spec, dict):
         if role == "template" and "fresh" in spec:
             kind = _string(spec, "kind", "nonce")
             if kind not in FreshMint.KINDS:
                 raise ConfigError(f"unknown fresh kind {kind!r}; known: "
                                   f"{list(FreshMint.KINDS)}")
-            return TFresh(binding=_string(spec, "fresh"), kind=kind,
+            bound.add(_string(spec, "fresh"))
+            return TFresh(binding=spec["fresh"], kind=kind,
                           label=_string(spec, "label", "N_{agent}"))
         if role == "pattern" and "bind" in spec:
             kind = _string(spec, "kind", "any")
             if kind not in KIND_CHECKS:
                 raise ConfigError(f"unknown pattern kind {kind!r}; known: "
                                   f"{sorted(KIND_CHECKS)}")
-            return PBind(_string(spec, "bind"), kind)
+            bound.add(_string(spec, "bind"))
+            return PBind(spec["bind"], kind)
         if "ref" in spec:
-            return Ref(_string(spec, "ref"))
+            name = _string(spec, "ref")
+            if name not in bound:
+                raise ConfigError(f"{where} refers to {name!r}, which "
+                                  f"nothing before it binds")
+            return Ref(name)
         if "key" in spec:
             name = spec["key"]
             if not isinstance(name, str) or name not in constants:
@@ -315,31 +324,34 @@ def _parse_node(spec, constants, role):
             parts = spec["senc"]
             if not isinstance(parts, list) or len(parts) != 2:
                 raise ConfigError(f"senc takes [payload, key], not {parts!r}")
-            return Enc(*[_parse_node(p, constants, role) for p in parts])
+            key, payload = [_parse_node(p, constants, role, bound, where)
+                            for p in reversed(parts)]
+            return Enc(payload, key)
         if "list" in spec:
-            return seq(*[_parse_node(item, constants, role)
+            return seq(*[_parse_node(item, constants, role, bound, where)
                          for item in _sequence(spec["list"], "list")])
     raise ConfigError(f"bad {role} {spec!r}")
 
 
 def _parse_script(name, steps, constants, agents):
     parsed = []
-    for step in _sequence(steps, f"{name} steps"):
+    bound = set()
+    for index, step in enumerate(_sequence(steps, f"{name} steps"), start=1):
         if not isinstance(step, dict) or not step.keys() & {"send", "expect"}:
             raise ConfigError(f"bad role step {step!r}")
         msg = _integer(step["msg"], "msg")
+        where = f"{name} step {index}"
         if "send" in step:
             if not isinstance(step["to"], str) or step["to"] not in agents:
                 raise ConfigError(f"{name} sends to {step['to']!r}, "
                                   f"which names no agent")
             parsed.append(SendStep(receiver=step["to"],
                                    body=_parse_node(step["send"], constants,
-                                                    "template"),
+                                                    "template", bound, where),
                                    msg=msg))
         else:
-            parsed.append(ExpectStep(pattern=_parse_node(step["expect"],
-                                                         constants, "pattern"),
-                                     msg=msg))
+            parsed.append(ExpectStep(pattern=_parse_node(
+                step["expect"], constants, "pattern", bound, where), msg=msg))
     return RoleScript(name=name, steps=tuple(parsed))
 
 

@@ -92,6 +92,8 @@ def test_bad_scenario_config_exit(tmp_path):
         {"send": {"fresh": "na"}, "to": "B", "msg": "x"}]}, "B": {}}}}),
     json.dumps({"protocol": {"agents": {"A": {"initiator": [
         {"send": {"fresh": "na"}, "to": "B", "msg": True}]}, "B": {}}}}),
+    json.dumps({"protocol": {"agents": {"A": {"initiator": [
+        {"send": {"ref": "zz"}, "to": "B", "msg": 1}]}, "B": {}}}}),
 ])
 def test_bad_scenario_input_exit(tmp_path, text):
     path = tmp_path / "bad.json"
@@ -128,6 +130,22 @@ def test_role_only_inline_node_refused(tmp_path, capsys, node, where,
     path.write_text(json.dumps(spec))
     assert main(["run", "--scenario", str(path)]) == 64
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", [
+    [{"send": {"ref": "zz"}, "to": "B", "msg": 1}],
+    # the key is read before the payload, so the payload binds too late
+    [{"expect": {"senc": [{"bind": "zz"}, {"ref": "zz"}]}, "msg": 1}],
+    # list items are read left to right
+    [{"send": {"list": [{"ref": "zz"}, {"fresh": "zz"}]}, "to": "B",
+      "msg": 1}],
+])
+def test_unbound_inline_ref_named(tmp_path, capsys, steps):
+    spec = {"protocol": {"agents": {"A": {"initiator": steps}, "B": {}}}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--scenario", str(path)]) == 64
+    assert "A-init step 1 refers to 'zz'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

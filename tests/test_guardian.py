@@ -75,10 +75,8 @@ def test_windowed_invariant_slides_forward():
     inv = InvariantSpec("replay-equality")
     g = Guardian(name="G",
                  filters=(GuardianFilter("inflow", "A", control=True),),
-                 ident=Distinguisher("d", rules=(__import__(
-                     "guardsim.agents", fromlist=["PBind"]).PBind("x", "nonce"),)),
-                 crit=Distinguisher("c", rules=(__import__(
-                     "guardsim.agents", fromlist=["PBind"]).PBind("x", "nonce"),)),
+                 ident=Distinguisher(rules=(PBind("x", "nonce"),)),
+                 crit=Distinguisher(rules=(PBind("x", "nonce"),)),
                  invariant=inv, plan=InterferencePlan(responses=(Intercept(stop_note=True),)),
                  window=2)
     g.process(spied_env(NA, seq=1))
@@ -133,6 +131,14 @@ def test_plan_expands_into_concrete_actions():
     assert g.propose({2: replay}) is erase
     g.committed(erase)
     assert g.propose({}) is fake and g.propose({}) is fake
+
+
+def test_send_fake_with_nothing_to_send_refused():
+    # with neither a template nor a fake there is no body to inject; the
+    # plan is refused when it is written, not when it first fires
+    from guardsim.guardian import SendFake
+    with pytest.raises(ValueError, match="'A'"):
+        SendFake(mask="A")
 
 
 def test_topological_advantage_examples():
@@ -279,7 +285,7 @@ INVARIANTS.update({
 def test_candidates_judge_like_the_whole_dataset(spec, scene, window,
                                                  crit_kind):
     store, m = scene
-    crit = Distinguisher("c", rules=(PBind("x", crit_kind),))
+    crit = Distinguisher(rules=(PBind("x", crit_kind),))
     rev = store.revision + 1
     assert spec.evaluate(m, spec.candidates(m, store), crit, window, rev) == \
         spec.evaluate(m, list(store.entries.values()), crit, window, rev)
@@ -297,7 +303,7 @@ class CountingDistinguisher(Distinguisher):
 
 def test_critical_replay_checks_at_most_one_entry():
     g = make_guardian()
-    g.crit = CountingDistinguisher(g.crit.name, g.crit.rules)
+    g.crit = CountingDistinguisher(g.crit.rules)
     for v in range(1024):
         g.store.add(Nonce(value=v, width=12, label="N"), {"P", "critical"})
     assert g.process(spied_env(Nonce(value=700, width=12, label="N_B")))

@@ -27,9 +27,10 @@ def lines(result):
 def test_builtin_catalog():
     assert builtin_names() == ["andrew-rpc", "bme-fixed", "eke", "iso-sc-27",
                                "otway-rees", "splice-as", "sra3p"]
-    assert builtin("iso-sc-27").defense_class == "Total"
     assert builtin("bme-fixed").defended_agent == "B"
-    assert set(builtin("otway-rees").viable_topologies) == {"C", "E"}
+    assert {name: builtin(name).home_topology for name in builtin_names()} \
+        == {"andrew-rpc": "A", "bme-fixed": "D", "eke": "A", "iso-sc-27": "A",
+            "otway-rees": "C", "splice-as": "C", "sra3p": "A"}
     with pytest.raises(ConfigError):
         builtin("nope")
 
@@ -123,12 +124,6 @@ def test_wire_rejects_layouts_outside_applicable_kinds(name):
             case.wire(kind=kind)
         with pytest.raises(ConfigError, match="runs on topologies"):
             export_builtin(name, topology=kind)
-
-
-def test_partial_iff_fn_conditions():
-    for name in builtin_names():
-        case = builtin(name)
-        assert (case.defense_class == "Partial") == bool(case.fn_conditions)
 
 
 # -- ISO-SC 27 ----------------------------------------------------------
@@ -274,6 +269,15 @@ def test_sra3p_goldens():
     from guardsim.knowledge import derivable
     m = result.honest["A"].sessions[1].bindings["m"]
     assert not derivable(result.attackers[0].knowledge, m)
+
+
+def test_binding_derivable_judges_the_sra3p_secret():
+    from guardsim.protocols.base import binding_derivable
+    leaked = binding_derivable("A", "m")
+    result, _ = run("sra3p", guardian=False, attack="classic")
+    assert leaked(result)
+    result, _ = run("sra3p", guardian=True, attack="classic")
+    assert not leaked(result)
 
 
 # -- Andrew Secure RPC ---------------------------------------------------
@@ -675,13 +679,18 @@ def test_bme_inoperative_outside_server_view():
     assert outcome.false_negatives > 0
 
 
+MESSAGE_COUNTS = {"andrew-rpc": 4, "bme-fixed": 3, "eke": 5, "iso-sc-27": 3,
+                  "otway-rees": 4, "splice-as": 6, "sra3p": 3}
+
+
 def test_honest_runs_complete_for_every_builtin():
+    assert sorted(MESSAGE_COUNTS) == builtin_names()
     for name in builtin_names():
         case = builtin(name)
         wiring = case.wire(guardian=False, attack=None)
         result = wiring.simulator(seed=11).run()
         msg_lines = [s for s in result.trace.steps if s.kind == "message"]
-        assert len(msg_lines) == case.message_count, name
+        assert len(msg_lines) == MESSAGE_COUNTS[name], name
         for agent in result.honest.values():
             for sess in agent.sessions.values():
                 assert sess.status == "complete", (name, agent.name)
