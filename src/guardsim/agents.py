@@ -20,6 +20,7 @@ own state.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
@@ -317,10 +318,70 @@ def instantiate(template, bindings: Dict[str, Term], mint: FreshMint,
 
 # -- role scripts -----------------------------------------------------------
 
+def _anchor(pattern):
+    """(path, node) of the first `Ref` in `match` order, else of the first
+    `Const`, that `pattern` requires; None when it has neither.  A path
+    step is (n, i), item i of an n-item `Seq`, or (term class, attribute)
+    through a `PPair`, `Enc` or `AEnc`.  No path enters an `Inc` (its
+    wire fallback takes other shapes), and a `Ref` to a name the pattern
+    binds itself does not count."""
+    found, binds = [], set()
+    _walk(pattern, (), True, found, binds)
+    refs = [a for a in found
+            if isinstance(a[1], Ref) and a[1].name not in binds]
+    consts = [a for a in found if isinstance(a[1], Const)]
+    return (refs or consts or [None])[0]
+
+
+# composite node -> the term class `match` requires and its parts in order
+_BRANCHES = {PPair: (Pair, ("left", "right")),
+             Enc: (SymEnc, ("key", "payload")),
+             AEnc: (AsymEnc, ("key", "payload"))}
+
+
+def _walk(node, path, open_, found, binds) -> None:
+    if isinstance(node, PBind):
+        binds.add(node.name)
+    elif isinstance(node, (Ref, Const)):
+        if open_:
+            found.append((path, node))
+    elif type(node) in _BRANCHES:
+        cls, attrs = _BRANCHES[type(node)]
+        for attr in attrs:
+            _walk(getattr(node, attr), path + ((cls, attr),), open_, found,
+                  binds)
+    elif isinstance(node, Seq):
+        for i, item in enumerate(node.items):
+            _walk(item, path + ((len(node.items), i),), open_, found, binds)
+    elif isinstance(node, Inc):
+        _walk(node.base, path, False, found, binds)
+
+
+def _follow(term: Term, path) -> Optional[Term]:
+    """The subterm of `term` at an anchor path, or None where `match`
+    would reject `term` on the way (same type and item-count checks)."""
+    for kind, arg in path:
+        if isinstance(kind, int):
+            items = pair_items(term)
+            if len(items) != kind:
+                return None
+            term = items[arg]
+        elif isinstance(term, kind):
+            term = getattr(term, arg)
+        else:
+            return None
+    return term
+
+
 @dataclass(frozen=True)
 class ExpectStep:
     pattern: object
     msg: int
+
+    @functools.cached_property
+    def anchor(self):
+        """`_anchor` of the pattern, found when a session first waits here."""
+        return _anchor(self.pattern)
 
 
 @dataclass(frozen=True)
@@ -372,10 +433,13 @@ class HonestAgent:
 
     Active sessions are filed by the step they stand at: the keys of the
     sessions whose next step is a send sit in a min-heap, those waiting
-    on an expect map to that step, so `poll` and `deliver` visit only
-    sessions that can act, still in ascending key order.  Once the
-    guardian raises its abort flag (`abort`), the agent opens and
-    advances nothing more."""
+    on an expect map to that step and sit in a bucket keyed by their
+    step's anchor (`_anchor`) path and the wire view of its `Const` or of
+    the session's binding of its `Ref`, or else in the residual bucket.
+    `deliver` looks up the body's wire view at each filed path and tries
+    only those buckets' sessions and the residual ones, in ascending key
+    order.  Once the guardian raises its abort flag (`abort`), the agent
+    opens and advances nothing more."""
 
     def __init__(self, name: str, responder_scripts: Sequence[RoleScript] = ()):
         self.name = name
@@ -384,7 +448,10 @@ class HonestAgent:
         self.aborted = False
         self._send_cache: Dict[Tuple[int, int], Tuple[Term, str]] = {}
         self._ready: List[int] = []          # min-heap of send-ready keys
-        self._waiting: Dict[int, ExpectStep] = {}   # key -> awaited step
+        # key -> (awaited step, its bucket: (anchor path, wire view) or None)
+        self._waiting: Dict[int, Tuple[ExpectStep, object]] = {}
+        self._buckets: Dict[object, Set[int]] = {}   # None: the residual
+        self._paths: Set[tuple] = set()   # every anchor path ever filed
         # (net_session, wire view) of every body a session consumed
         self._consumed: Set[Tuple[int, object]] = set()
 
@@ -401,7 +468,16 @@ class HonestAgent:
         elif isinstance(step, SendStep):
             heapq.heappush(self._ready, sess.key)
         else:
-            self._waiting[sess.key] = step
+            slot = None
+            if step.anchor is not None:
+                path, node = step.anchor
+                value = node.term if isinstance(node, Const) \
+                    else sess.bindings.get(node.name)
+                if value is not None:
+                    slot = (path, wire_view(value))
+                    self._paths.add(path)
+            self._waiting[sess.key] = (step, slot)
+            self._buckets.setdefault(slot, set()).add(sess.key)
 
     def _consume(self, sess: Session, env: Envelope, msg: int) -> None:
         sess.consumed.append(Consumed(env, msg))
@@ -424,18 +500,29 @@ class HonestAgent:
                 sess.status = "aborted"
         self._ready.clear()
         self._waiting.clear()
+        self._buckets.clear()
+        self._paths.clear()
 
     def deliver(self, env: Envelope) -> None:
         """Consume a delivered body: advance a waiting session, or open a
         responder session; silently ignore non-matching bodies.  A replay
         of a body already consumed under the same session label never
         opens a second session."""
-        for key in sorted(self._waiting):
+        keys = list(self._buckets.get(None, ()))
+        for path in self._paths:
+            sub = _follow(env.body, path)
+            if sub is not None:
+                keys.extend(self._buckets.get((path, wire_view(sub)), ()))
+        for key in sorted(keys):
             sess = self.sessions[key]
-            step = self._waiting[key]
+            step, slot = self._waiting[key]
             bound = match(step.pattern, env.body, sess.bindings)
             if bound is not None:
                 del self._waiting[key]
+                bucket = self._buckets[slot]
+                bucket.discard(key)
+                if not bucket:
+                    del self._buckets[slot]
                 sess.bindings = bound
                 sess.pc += 1
                 sess.last_msg = step.msg

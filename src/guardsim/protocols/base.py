@@ -4,6 +4,7 @@ and the one wiring path that assembles a run from them."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -124,6 +125,13 @@ class CaseStudy:
                               f"not {kind!r}")
         return kind
 
+    @functools.cached_property
+    def _scripts(self):
+        """Each role's responder scripts and A's initiator script toward
+        B, built once: scripts are immutable, so every run shares them."""
+        return ({name: [make() for make in roles]
+                 for name, roles in self.roles.items()}, self.initiator("B"))
+
     def _attack(self, name: Optional[str]) -> Optional[Attack]:
         if not name:
             return None
@@ -146,11 +154,12 @@ class CaseStudy:
                                        variant="proceed", knowledge=ks)]
         topo = base_topology(kind, honest=tuple(self.roles), attackers=("E",),
                              guardian="G" if guardian else None)
-        honest = [HonestAgent(name, responder_scripts=[r() for r in roles])
-                  for name, roles in self.roles.items()]
+        responders, initiator = self._scripts
+        honest = [HonestAgent(name, responder_scripts=responders[name])
+                  for name in self.roles]
         initiators = []
         if chosen is None or chosen.honest_run:
-            initiators.append(("A", self.initiator("B"), 1))
+            initiators.append(("A", initiator, 1))
         return Wiring(topology=topo, honest=honest, attackers=attackers,
                       guardian=self.make_guardian(topo) if guardian else None,
                       initiators=initiators, victim=self.defended_agent)

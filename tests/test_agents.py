@@ -6,15 +6,19 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import guardsim
-from guardsim.agents import (ExpectStep, FreshMint, HonestAgent, PBind, PPair,
-                             Ref, Inc, RoleScript, SendStep, Const, TFresh,
-                             match, reinterpret, seq)
+from guardsim import agents
+from guardsim.agents import (AEnc, ExpectStep, Enc, FreshMint, HonestAgent,
+                             KIND_CHECKS, PBind, PPair, Ref, Inc, RoleScript,
+                             SendStep, Seq, Const, TFresh, match, reinterpret,
+                             seq)
 from guardsim.network import Envelope, Slot
+from guardsim.protocols import iso_sc27
 from guardsim.protocols.iso_sc27 import classic_attack, make_attacker
-from guardsim.terms import (AgentId, Atom, Nonce, Pair, Succ, SymEnc,
-                            SymKey, succ)
+from guardsim.terms import (AgentId, Atom, AsymEnc, AsymKey, Nonce, Pair,
+                            Succ, SymEnc, SymKey, pair, succ, wire_view)
 
 K = SymKey(value=1, label="K_AB")
 NA = Nonce(value=10, label="N_A")
@@ -181,3 +185,215 @@ def test_interleaved_sessions_act_in_ascending_key_order():
     assert [status for *_, status in before] == \
         ["complete", "complete", "aborted", "aborted", "aborted"]
     assert deliver(55) == before
+
+
+# -- the anchor index of waiting sessions ------------------------------------
+#
+# `deliver` must advance exactly the session a linear scan of the waiting
+# sessions in ascending key order advances, or open the same responder
+# session.  Values come from a tiny domain so that anchors collide.
+
+NAMES = ("a", "b", "c")
+NONCES = st.builds(Nonce, st.integers(0, 3))
+LEAVES = st.one_of(
+    NONCES, st.builds(SymKey, st.integers(0, 3)),
+    st.builds(Atom, st.integers(0, 3)),
+    st.sampled_from([AgentId("A"), AgentId("B")]),
+    st.builds(AsymKey, st.integers(0, 1), st.booleans()))
+TERMS = st.recursive(
+    LEAVES | st.builds(Succ, NONCES, st.integers(1, 2)),
+    lambda t: st.one_of(st.builds(Pair, t, t), st.builds(SymEnc, t, t),
+                        st.builds(AsymEnc, t, t)), max_leaves=5)
+PATTERNS = st.recursive(
+    st.one_of(st.builds(Const, LEAVES), st.builds(Ref, st.sampled_from(NAMES)),
+              st.builds(PBind, st.sampled_from(NAMES),
+                        st.sampled_from(sorted(KIND_CHECKS)))),
+    lambda p: st.one_of(
+        st.lists(p, min_size=1, max_size=3).map(lambda xs: Seq(tuple(xs))),
+        st.builds(PPair, p, p), st.builds(Enc, p, p), st.builds(AEnc, p, p),
+        st.builds(Inc, p, st.integers(1, 2))), max_leaves=5)
+BINDINGS = st.dictionaries(st.sampled_from(NAMES), LEAVES, min_size=2,
+                           max_size=3)
+KIND_VALUES = {   # what a PBind of each kind accepts, where a body has it
+    "any": LEAVES, "leaf": LEAVES, "nonce": NONCES,
+    "key": st.builds(SymKey, st.integers(0, 3)),
+    "pubkey": st.builds(AsymKey, st.integers(0, 1), st.just(False)),
+    "agent": st.sampled_from([AgentId("A"), AgentId("B")]),
+    "symenc": st.builds(SymEnc, LEAVES, LEAVES), "commenc": LEAVES}
+
+
+def fill(draw, pattern, bindings):
+    """A body shaped by `pattern`, mostly one it accepts: a `Ref` gets its
+    bound value or a successor over a leaf that wire-equals it.  Names
+    are bound into `bindings` in `match` order, as `match` binds them."""
+    if isinstance(pattern, Const):
+        return pattern.term
+    if isinstance(pattern, Ref):
+        bound = bindings.get(pattern.name)
+        if bound is None:
+            return draw(LEAVES)
+        if isinstance(bound, Nonce) and bound.value and draw(st.booleans()):
+            return Succ(Nonce(bound.value - 1), 1)
+        return bound
+    if isinstance(pattern, PBind):
+        bindings[pattern.name] = draw(KIND_VALUES[pattern.kind])
+        return bindings[pattern.name]
+    if isinstance(pattern, Seq):
+        items = [fill(draw, p, bindings) for p in pattern.items]
+        return pair(*items) if len(items) > 1 else items[0]
+    if isinstance(pattern, PPair):
+        return Pair(fill(draw, pattern.left, bindings),
+                    fill(draw, pattern.right, bindings))
+    if isinstance(pattern, (Enc, AEnc)):
+        cls = SymEnc if isinstance(pattern, Enc) else AsymEnc
+        key = fill(draw, pattern.key, bindings)
+        return cls(fill(draw, pattern.payload, bindings), key)
+    base = fill(draw, pattern.base, bindings)
+    view = wire_view(base)
+    if view[0] == "leaf" and draw(st.booleans()):   # the wire fallback
+        return Nonce(view[1] + pattern.offset)
+    return succ(base, pattern.offset)
+
+
+def expect_script(draw):
+    patterns = draw(st.lists(PATTERNS, min_size=1, max_size=2))
+    return RoleScript(name="r", initial_bindings=draw(BINDINGS), steps=tuple(
+        ExpectStep(p, msg=i + 1) for i, p in enumerate(patterns)))
+
+
+def linear_deliver(model, responders, body):
+    """The reference delivery: every waiting session in ascending key
+    order, then the responder scripts.  `model` maps key -> [script, pc,
+    bindings]; a session is waiting while pc < its step count."""
+    for key in sorted(model):
+        script, pc, bindings = model[key]
+        if pc < len(script.steps):
+            bound = match(script.steps[pc].pattern, body, bindings)
+            if bound is not None:
+                model[key] = [script, pc + 1, bound]
+                return
+    for script in responders:
+        bound = match(script.steps[0].pattern, body,
+                      dict(script.initial_bindings))
+        if bound is not None:
+            model[len(model) + 1] = [script, 1, bound]
+            return
+
+
+def observed(agent):
+    return {k: [s.script, s.pc, s.bindings] for k, s in agent.sessions.items()}
+
+
+def check_index(agent):
+    """Every waiting session sits in exactly one bucket, nothing else."""
+    filed = [k for bucket in agent._buckets.values() for k in bucket]
+    assert sorted(filed) == sorted(agent._waiting)
+    assert all(agent._buckets.values())
+
+
+def deliver_body(agent, body, session):
+    agent.deliver(Envelope(seq=session, claimed_sender="B", body=body,
+                           receiver="A", true_sender="B",
+                           slot=Slot(session, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_indexed_delivery_matches_linear_scan(data):
+    draw = data.draw
+    waiting = [expect_script(draw) for _ in range(draw(st.integers(1, 6)))]
+    responders = [expect_script(draw) for _ in range(draw(st.integers(0, 2)))]
+    agent = HonestAgent("A", responder_scripts=responders)
+    for script in waiting:
+        agent.start_session(1, script)
+    model = observed(agent)
+    # fresh session labels per delivery keep the replay guard out of it
+    for label in range(100, 100 + draw(st.integers(1, 4))):
+        shapes = [(s.steps[pc].pattern, b) for s, pc, b in model.values()
+                  if pc < len(s.steps)]
+        shapes += [(s.steps[0].pattern, s.initial_bindings)
+                   for s in responders]
+        if shapes and draw(st.integers(0, 3)):
+            pattern, bindings = draw(st.sampled_from(shapes))
+            body = fill(draw, pattern, dict(bindings))
+        else:
+            body = draw(TERMS)
+        linear_deliver(model, responders, body)
+        deliver_body(agent, body, label)
+        assert observed(agent) == model
+        check_index(agent)
+        assert sorted(agent._waiting) == sorted(
+            k for k, (s, pc, _) in model.items() if pc < len(s.steps))
+    agent.abort()
+    assert agent._waiting == {} and agent._buckets == {} and not agent._paths
+    deliver_body(agent, draw(TERMS), 200)
+    assert observed(agent) == model
+
+
+def test_lower_key_wins_a_shared_anchor():
+    pattern = seq(Ref("n"), PBind("x", "nonce"))
+    script = RoleScript(name="r", initial_bindings={"n": NA},
+                        steps=(ExpectStep(pattern, 2), send(3)))
+    agent = HonestAgent("A")
+    for _ in range(3):
+        agent.start_session(1, script)
+    assert len(agent._buckets) == 1          # all three share one bucket
+    deliver_body(agent, Pair(NA, NB), 5)
+    assert [s.pc for s in agent.sessions.values()] == [1, 0, 0]
+    assert 1 not in agent._waiting
+    assert [sorted(b) for b in agent._buckets.values()] == [[2, 3]]
+    deliver_body(agent, Pair(NA, NB), 6)
+    assert [s.pc for s in agent.sessions.values()] == [1, 1, 0]
+
+
+def test_successor_body_reaches_a_session_waiting_on_a_nonce():
+    # N_A + 1 over the leaf N_A is on the wire the value bound as N_B
+    waiting = RoleScript(name="r", initial_bindings={"nb": NB},
+                         steps=(ExpectStep(Ref("nb"), 3),))
+    agent = HonestAgent("A")
+    agent.start_session(1, waiting)
+    assert wire_view(succ(NA, 1)) == wire_view(NB)
+    deliver_body(agent, succ(NA, 1), 5)
+    assert agent.sessions[1].status == "complete"
+    assert agent._waiting == {} and agent._buckets == {}
+
+
+def test_anchor_paths():
+    k = Const(K)
+    assert ExpectStep(PBind("x"), 1).anchor is None
+    assert ExpectStep(Inc(Ref("n"), 1), 1).anchor is None   # never in an Inc
+    assert ExpectStep(Ref("n"), 1).anchor == ((), Ref("n"))
+    # a Ref beats a Const that comes first in match order
+    assert ExpectStep(Enc(seq(Ref("n"), PBind("x")), k), 1).anchor == \
+        (((SymEnc, "payload"), (2, 0)), Ref("n"))
+    assert ExpectStep(seq(Inc(Ref("n"), 1), k), 1).anchor == (((2, 1),), k)
+    # a name the pattern binds itself pins no value when filed
+    assert ExpectStep(PPair(PBind("n"), Ref("n")), 1).anchor is None
+
+
+def test_deliveries_make_a_bounded_number_of_match_calls(monkeypatch):
+    """An honest 200-session ISO-SC 27 run with the guardian on: a
+    delivery tries only the sessions its body can belong to."""
+    calls = {"match": 0, "deliver": 0}
+    real_match, real_deliver = agents.match, HonestAgent.deliver
+
+    def counted_match(*args):
+        calls["match"] += 1
+        return real_match(*args)
+
+    def counted_deliver(self, env):
+        calls["deliver"] += 1
+        return real_deliver(self, env)
+
+    monkeypatch.setattr(agents, "match", counted_match)
+    monkeypatch.setattr(HonestAgent, "deliver", counted_deliver)
+    wiring = iso_sc27.wire(kind="A", guardian=True, attack=None)
+    wiring.initiators = [
+        (agent, iso_sc27.initiator_script("B" if agent == "A" else "A"), i + 1)
+        for i, agent in enumerate("AB" * 100)]
+    result = wiring.simulator(seed=3, nonce_bits=64, max_rounds=1208).run()
+    assert calls["deliver"] == 600
+    assert sum(s.status == "complete" for agent in result.honest.values()
+               for s in agent.sessions.values()) == 400
+    assert result.guardian.interference_count == 0
+    assert calls["match"] <= 8 * calls["deliver"]
