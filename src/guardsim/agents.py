@@ -262,6 +262,15 @@ class FreshMint:
             return Atom(value=value, label=label)
         raise ValueError(f"unknown fresh kind {spec.kind!r}")
 
+    def mark(self):
+        """The draw state and the labels handed out, for `rollback`."""
+        return self.rng.getstate(), dict(self._used_labels)
+
+    def rollback(self, mark) -> None:
+        state, labels = mark
+        self.rng.setstate(state)
+        self._used_labels = dict(labels)
+
 
 def instantiate(template, bindings: Dict[str, Term], mint: FreshMint,
                 agent: str, nonce_bits: int) -> Term:
@@ -585,6 +594,38 @@ class HonestAgent:
         sess.pc += 1
         self._file(sess)
 
+    # -- marks --
+
+    def mark(self):
+        """What `rollback` needs to bring this agent back: each session's
+        moving parts (its consumed list only grows), the filing and the
+        abort flag."""
+        return ([(s, s.pc, s.status, dict(s.bindings), s.last_msg,
+                  len(s.consumed)) for s in self.sessions.values()],
+                self._copy_filing(self._ready, self._waiting, self._buckets,
+                                  self._paths, self._consumed,
+                                  self._send_cache),
+                self.aborted)
+
+    def rollback(self, mark) -> None:
+        """Restore the agent `mark` was taken of; sessions opened since
+        are dropped.  The mark stays valid for another rollback."""
+        sessions, filing, self.aborted = mark
+        self.sessions = {}
+        for sess, pc, status, bindings, last_msg, consumed in sessions:
+            sess.pc, sess.status, sess.last_msg = pc, status, last_msg
+            sess.bindings = dict(bindings)   # `instantiate` writes to it
+            del sess.consumed[consumed:]
+            self.sessions[sess.key] = sess
+        (self._ready, self._waiting, self._buckets, self._paths,
+         self._consumed, self._send_cache) = self._copy_filing(*filing)
+
+    @staticmethod
+    def _copy_filing(ready, waiting, buckets, paths, consumed, send_cache):
+        return (list(ready), dict(waiting),
+                {slot: set(keys) for slot, keys in buckets.items()},
+                set(paths), set(consumed), dict(send_cache))
+
 
 # -- attackers --------------------------------------------------------------
 
@@ -847,6 +888,24 @@ class AttackerAgent:
                                NullMint(), self.name, 64)
             return ("Injection", body)
         return None
+
+    # -- marks --
+
+    def mark(self):
+        """What `rollback` needs to bring this attacker back: its
+        knowledge revision, attack-function position and rival opinions."""
+        return (self.knowledge.revision, dict(self.bindings), self.step_ptr,
+                self.engaged, set(self.hesitations), dict(self.deferrals),
+                dict(self.awareness))
+
+    def rollback(self, mark) -> None:
+        (revision, bindings, self.step_ptr, self.engaged, hesitations,
+         deferrals, awareness) = mark
+        self.knowledge.restore(revision)
+        self.bindings = dict(bindings)
+        self.hesitations = set(hesitations)
+        self.deferrals = dict(deferrals)
+        self.awareness = dict(awareness)
 
 
 class NullMint:

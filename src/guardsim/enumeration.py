@@ -27,6 +27,7 @@ class EnumerationReport:
     false_negatives: int
     fn_witnesses: List[Tuple[Tuple, str]] = field(default_factory=list)
     deceptions_detected: int = 0
+    over_budget: int = 0   # leaves dropped when their run hit the budget
 
 
 # only the first distinct spied terms are offered for injection
@@ -39,8 +40,11 @@ class ScriptedAttacker(AttackerAgent):
     Choices: ("erase", i) erase the i-th pending visible envelope;
     ("inject", j, receiver) inject the j-th distinct spied term at the
     receiver, masquerading as its configured peer; ("wait",).  When the
-    script runs out the attacker goes quiet and the first untaken option
-    menu is recorded as the frontier."""
+    script runs out the attacker goes quiet and records every option
+    offered from then on in its frontier.  With `sim` set, it marks the
+    simulator at each round whose menu grows, and files that mark under
+    the options the round added: a run that takes one of them agrees
+    with this run up to that round."""
 
     def __init__(self, name: str, interest, masks: Dict[str, str],
                  choices: Sequence[Tuple], knowledge=None):
@@ -49,11 +53,32 @@ class ScriptedAttacker(AttackerAgent):
         self.masks = dict(masks)            # receiver -> claimed identity
         self.choices = list(choices)
         self.cursor = 0
-        self.frontier: Optional[List[Tuple]] = None
+        # option -> the mark of the round that first offered it
+        self.frontier: Optional[Dict[Tuple, object]] = None
+        self.sim = None       # the simulator to mark, when forks are wanted
         self.spied_terms: List[Term] = []
         self._spied_keys: Set[object] = set()
         self.next_session = 2
         self.session_of: Dict[object, int] = {}
+
+    def rescript(self, choices: Tuple) -> None:
+        """Script a run resumed from the mark of the round that first
+        offered the last choice: that choice is the next move."""
+        self.choices = list(choices)
+        self.cursor = len(choices) - 1
+        self.frontier = None
+
+    def mark(self):
+        return (super().mark(), len(self.spied_terms),
+                set(self._spied_keys), dict(self.session_of),
+                self.next_session)
+
+    def rollback(self, mark) -> None:
+        base, spied, keys, session_of, self.next_session = mark
+        super().rollback(base)
+        del self.spied_terms[spied:]
+        self._spied_keys = set(keys)
+        self.session_of = dict(session_of)
 
     def spy(self, env: Envelope, direction: str) -> None:
         super().spy(env, direction)
@@ -83,10 +108,14 @@ class ScriptedAttacker(AttackerAgent):
             # script has run out: each is a candidate next move
             if opts:
                 if self.frontier is None:
-                    self.frontier = []
-                for o in opts:
-                    if o not in self.frontier:
-                        self.frontier.append(o)
+                    self.frontier = {}
+                new = [o for o in opts if o not in self.frontier]
+                if new:
+                    # polled first, after this round's notify
+                    fork = (self.sim.mark(mid_round=True)
+                            if self.sim is not None else None)
+                    for o in new:
+                        self.frontier[o] = fork
             return None
         choice = self.choices[self.cursor]
         if choice not in opts:
@@ -107,39 +136,44 @@ class ScriptedAttacker(AttackerAgent):
                       slot=Slot(self.session_of[key], 1), rank=1)
 
 
-def _run_with_choices(case, kind: str, choices: Sequence[Tuple],
-                      seed: int, max_visible: int):
-    wiring = case.wire(kind=kind, guardian=True, attack=case.attack_names[0])
-    scripted = ScriptedAttacker(
-        name="E", interest=list(wiring.attackers[0].interest),
-        masks=case.masks, choices=choices,
-        knowledge=KnowledgeSet(list(wiring.attackers[0].knowledge.items)))
-    wiring.attackers = [scripted]
-    sim = wiring.simulator(seed=seed, max_rounds=max(10 * max_visible, 80))
-    try:
-        result = sim.run()
-    except BudgetExceeded:
-        return None, scripted, wiring.victim
-    return result, scripted, wiring.victim
-
-
 def enumerate_attacks(case, kind: str, max_choices: int = 8,
                       seed: int = 0,
                       max_visible: int = 8) -> EnumerationReport:
     """Depth-first search over attacker choice sequences; every leaf is a
-    complete run judged for an undetected deception."""
+    complete run judged for an undetected deception.
+
+    One simulator serves the whole search.  A child `prefix + (o,)`
+    resumes from the mark its parent's run took at the round that first
+    offered `o`, since the two runs agree up to there: it rolls back to
+    that mark and runs on with the attacker rescripted."""
     report = EnumerationReport(runs=0, false_negatives=0)
-    stack: List[Tuple[Tuple, ...]] = [()]
+    wiring = case.wire(kind=kind, guardian=True, attack=case.attack_names[0])
+    scripted = ScriptedAttacker(
+        name="E", interest=list(wiring.attackers[0].interest),
+        masks=case.masks, choices=(),
+        knowledge=KnowledgeSet(list(wiring.attackers[0].knowledge.items)))
+    wiring.attackers = [scripted]
+    sim = wiring.simulator(seed=seed, max_rounds=max(10 * max_visible, 80))
+    # the root runs from round 0; every other prefix from its mark
+    stack: List[Tuple[Tuple, object]] = [((), None)]
     while stack:
         # each prefix is pushed once, by its parent, and a frontier holds
-        # distinct options, so no prefix runs twice
-        prefix = stack.pop()
-        result, scripted, victim = _run_with_choices(case, kind, prefix,
-                                                     seed, max_visible)
-        if result is None:
+        # distinct options, so no prefix runs twice.  A frontier lists
+        # options by ascending fork round and pops in reverse, so each
+        # rollback goes to the same mark or to an earlier one of the
+        # current run's past
+        prefix, mark = stack.pop()
+        if mark is not None:
+            sim.rollback(mark)
+            scripted.rescript(prefix)
+        scripted.sim = sim if len(prefix) < max_choices else None
+        try:
+            result = sim.run()
+        except BudgetExceeded:
+            report.over_budget += 1
             continue
         report.runs += 1
-        outcome = evaluate(result, victim, True, case.success_extra)
+        outcome = evaluate(result, wiring.victim, True, case.success_extra)
         if outcome.false_negatives > 0:
             report.false_negatives += 1
             report.fn_witnesses.append((prefix, outcome.classification))
@@ -147,6 +181,7 @@ def enumerate_attacks(case, kind: str, max_choices: int = 8,
             report.deceptions_detected += 1
         if len(prefix) < max_choices and scripted.frontier:
             if len(result.trace.steps) <= max_visible:
-                for option in scripted.frontier:
-                    stack.append(prefix + (option,))
+                for option, fork in scripted.frontier.items():
+                    stack.append((prefix + (option,), fork))
+    scripted.sim = None
     return report

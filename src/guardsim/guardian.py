@@ -100,6 +100,23 @@ class GuardianStore:
                            e.p_rev)
                 for e in self.entries.values()]
 
+    def mark(self):
+        """What `rollback` needs to bring D_G back: the entries, the part
+        index and the revision, with each entry's moving parts."""
+        return (dict(self.entries),
+                {part: list(held) for part, held in self.by_part.items()},
+                self.revision,
+                [(e, set(e.labels), e.last_rev, e.p_rev, set(e.sources))
+                 for e in self.entries.values()])
+
+    def rollback(self, mark) -> None:
+        entries, by_part, self.revision, moving = mark
+        self.entries = dict(entries)
+        self.by_part = {part: list(held) for part, held in by_part.items()}
+        for entry, labels, last_rev, p_rev, sources in moving:
+            entry.labels, entry.sources = set(labels), set(sources)
+            entry.last_rev, entry.p_rev = last_rev, p_rev
+
     def labeled_terms(self, label: str = "P") -> List[Term]:
         return [e.term for e in self.entries.values() if label in e.labels]
 
@@ -417,6 +434,24 @@ class Guardian:
             self.pending.pop(0)
         if isinstance(action, Inject):
             self.record_own(action.body, seq)
+
+    # -- marks --
+
+    def mark(self):
+        """What `rollback` needs to bring the guardian back: D_G, the
+        length of the module log, the plan queue, the deferred abort and
+        the state of the fake-value draws."""
+        return (self.store.mark(), len(self.module_log), list(self.pending),
+                self.deferred_abort, self.invariant_operative,
+                self.rng.getstate())
+
+    def rollback(self, mark) -> None:
+        (store, log_length, pending, self.deferred_abort,
+         self.invariant_operative, rng) = mark
+        self.store.rollback(store)
+        del self.module_log[log_length:]
+        self.pending = list(pending)
+        self.rng.setstate(rng)
 
     # -- interference --
 

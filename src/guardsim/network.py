@@ -131,6 +131,27 @@ class NetworkState:
     def remove(self, seq: int) -> Envelope:
         return self.pending.pop(seq)
 
+    def mark(self):
+        """What `rollback` needs to bring this state back: the pending
+        envelopes with the observers and credits they carry, the next
+        seq and the length of the append-only history."""
+        return (dict(self.pending), self._next_seq, len(self.history),
+                [(env, len(env.observers), set(env.sender_credits),
+                  set(env.capture_credits))
+                 for env in self.pending.values()])
+
+    def rollback(self, mark) -> None:
+        """Restore the state `mark` was taken at.  The history since is
+        dropped, so the mark must lie on this state's own past."""
+        pending, self._next_seq, length, envelopes = mark
+        self.pending.clear()
+        self.pending.update(pending)
+        del self.history[length:]
+        for env, observers, sender_credits, capture_credits in envelopes:
+            del env.observers[observers:]
+            env.sender_credits = set(sender_credits)
+            env.capture_credits = set(capture_credits)
+
     def replay_check(self) -> Dict[int, Tuple[str, Term, str]]:
         """Re-derive the pending set from history; used to assert the
         replay invariant."""

@@ -25,6 +25,11 @@ the losers stay here.
 The loop is strictly single-threaded and owns its agents; identical
 (scenario, seed) pairs produce bit-identical traces.  Run independent
 scenarios on separate Simulator instances for parallelism.
+
+`mark` saves what a run changes in place and the lengths of what only
+grows, and `rollback` restores it, so one simulator can go back to an
+earlier round of its own run and take another branch from there (the
+attack enumeration forks that way).  A run nobody marks pays nothing.
 """
 
 from __future__ import annotations
@@ -246,6 +251,36 @@ class Simulator:
             self._apply_deliver(delivery)
             return Deliver(target_seq=delivery)
         raise DeadlockError("no agent proposed an action")
+
+    # -- marks --
+
+    def mark(self, mid_round: bool = False):
+        """The run's state as `rollback` restores it, so that `run` then
+        goes on from here again.  Between steps the next step is round
+        `rounds` + 1.  `mid_round` is for a mark an attacker polled first
+        takes inside round r, after its notify: the mark puts the counter
+        at r - 1, so `run` repeats round r, whose notify then announces
+        nothing new, and polls that attacker first again."""
+        return (self.rounds - 1 if mid_round else self.rounds, self.aborted,
+                self._notified, self.mint.mark(), self.net.mark(),
+                [agent.mark() for agent in self.honest.values()],
+                [att.mark() for att in self.attackers],
+                self.guardian.mark() if self.guardian is not None else None)
+
+    def rollback(self, mark) -> None:
+        """Restore the state `mark` was taken at.  Only a mark on this
+        run's own past can be restored (it truncates the history); the
+        same mark can be restored any number of times."""
+        (self.rounds, self.aborted, self._notified, mint, net, honest,
+         attackers, guardian) = mark
+        self.mint.rollback(mint)
+        self.net.rollback(net)
+        for agent, agent_mark in zip(self.honest.values(), honest):
+            agent.rollback(agent_mark)
+        for att, att_mark in zip(self.attackers, attackers):
+            att.rollback(att_mark)
+        if self.guardian is not None:
+            self.guardian.rollback(guardian)
 
     def run(self) -> SimResult:
         while True:

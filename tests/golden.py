@@ -49,11 +49,16 @@ def _run_records(case, kind, attack, guardian, seed, trace_path):
         result = wiring.simulator(seed=seed).run()
     except BudgetExceeded:
         return ["budget exceeded"]
+    return result_records(case, wiring.victim, attack is not None, result,
+                          trace_path)
+
+
+def result_records(case, victim, attack_present, result, trace_path):
+    """What a run digest covers of a finished run."""
     write_trace_file(result, trace_path)
     with open(trace_path) as fh:
         ndjson = fh.read()
-    outcome = evaluate(result, wiring.victim, attack is not None,
-                       case.success_extra)
+    outcome = evaluate(result, victim, attack_present, case.success_extra)
     records = [result.trace.lines(), ndjson, outcome.to_dict(),
                result.rounds]
     g = result.guardian

@@ -9,10 +9,18 @@ re-layerings).  For bounded instances this decides the same relation.
 
 `frontier_analyze` is the pass-by-pass analysis fixpoint that
 `analyze_terms` computed before it became a worklist: each pass applies
-every rule to every known term until a pass adds nothing."""
+every rule to every known term until a pass adds nothing.
+
+`replay_enumerate` is the attack search as `enumerate_attacks` ran it
+before it forked: every leaf wired afresh and replayed from round 0."""
 
 from itertools import combinations
+from typing import List, Sequence, Tuple
 
+from guardsim.enumeration import EnumerationReport, ScriptedAttacker
+from guardsim.knowledge import KnowledgeSet
+from guardsim.scenario import evaluate
+from guardsim.simulator import BudgetExceeded
 from guardsim.terms import (AsymEnc, CommEnc, Pair, Succ, SymEnc,
                             comm_enc, comm_strip, inverse_key, subterms,
                             KEY_TYPES)
@@ -103,3 +111,48 @@ def frontier_analyze(items):
         if not new:
             return frozenset(known)
         known.update(new)
+
+
+def _run_with_choices(case, kind: str, choices: Sequence[Tuple],
+                      seed: int, max_visible: int):
+    wiring = case.wire(kind=kind, guardian=True, attack=case.attack_names[0])
+    scripted = ScriptedAttacker(
+        name="E", interest=list(wiring.attackers[0].interest),
+        masks=case.masks, choices=choices,
+        knowledge=KnowledgeSet(list(wiring.attackers[0].knowledge.items)))
+    wiring.attackers = [scripted]
+    sim = wiring.simulator(seed=seed, max_rounds=max(10 * max_visible, 80))
+    try:
+        result = sim.run()
+    except BudgetExceeded:
+        return None, scripted, wiring.victim
+    return result, scripted, wiring.victim
+
+
+def replay_enumerate(case, kind: str, max_choices: int = 8,
+                     seed: int = 0,
+                     max_visible: int = 8) -> EnumerationReport:
+    """Depth-first search over attacker choice sequences; every leaf is a
+    complete run judged for an undetected deception."""
+    report = EnumerationReport(runs=0, false_negatives=0)
+    stack: List[Tuple[Tuple, ...]] = [()]
+    while stack:
+        # each prefix is pushed once, by its parent, and a frontier holds
+        # distinct options, so no prefix runs twice
+        prefix = stack.pop()
+        result, scripted, victim = _run_with_choices(case, kind, prefix,
+                                                     seed, max_visible)
+        if result is None:
+            continue
+        report.runs += 1
+        outcome = evaluate(result, victim, True, case.success_extra)
+        if outcome.false_negatives > 0:
+            report.false_negatives += 1
+            report.fn_witnesses.append((prefix, outcome.classification))
+        elif outcome.interference_count > 0:
+            report.deceptions_detected += 1
+        if len(prefix) < max_choices and scripted.frontier:
+            if len(result.trace.steps) <= max_visible:
+                for option in scripted.frontier:
+                    stack.append(prefix + (option,))
+    return report

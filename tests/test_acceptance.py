@@ -117,13 +117,16 @@ def test_criterion_6_fn_impossibility():
                             max_visible=8)
     otway = enumerate_attacks(builtin("otway-rees"), "C", max_choices=5,
                               max_visible=8)
+    over_budget = iso.over_budget + eke.over_budget + otway.over_budget
     ok = (iso.false_negatives == 0 and iso_time < 60.0
           and iso.runs > 100 and iso.deceptions_detected > 0
           and eke.false_negatives == 0
-          and otway.false_negatives == 0)
+          and otway.false_negatives == 0
+          and over_budget == 0)
     report(6, ok, f"erase/inject enumeration: iso {iso.runs} runs 0 FN "
                   f"({iso_time:.1f}s), eke {eke.runs} runs 0 FN, "
-                  f"otway-rees {otway.runs} runs 0 FN")
+                  f"otway-rees {otway.runs} runs 0 FN, "
+                  f"{over_budget} leaves over the round budget")
 
 
 TABLE_7 = {
