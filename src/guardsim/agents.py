@@ -230,7 +230,24 @@ def reinterpret(term: Term) -> Term:
                  label="junk")
 
 
-class FreshMint:
+class DrawMarks:
+    """Marks of `self.rng`, whose draws the class counts in `draws`: with
+    no draw since the last mark or rollback (`_drawn`), a mark shares its
+    state and a rollback leaves `rng` alone.  Set `rng` before marking."""
+    draws, _drawn = 0, (-1, None)
+
+    def rng_mark(self):
+        if self._drawn[0] != self.draws:
+            self._drawn = (self.draws, self.rng.getstate())
+        return self._drawn
+
+    def rng_rollback(self, mark) -> None:
+        if mark[0] != self.draws:
+            self.rng.setstate(mark[1])
+        self.draws, self._drawn = mark[0], mark
+
+
+class FreshMint(DrawMarks):
     """Deterministic fresh-value source with scenario-unique labels."""
 
     KINDS = ("nonce", "symkey", "asymkey", "atom")
@@ -250,6 +267,7 @@ class FreshMint:
 
     def mint(self, spec: TFresh, agent: str, nonce_bits: int) -> Term:
         label = self.label_for(spec.label, agent)
+        self.draws += 1
         if spec.kind == "nonce":
             return Nonce(value=self.rng.getrandbits(nonce_bits),
                          width=nonce_bits, label=label)
@@ -264,11 +282,11 @@ class FreshMint:
 
     def mark(self):
         """The draw state and the labels handed out, for `rollback`."""
-        return self.rng.getstate(), dict(self._used_labels)
+        return self.rng_mark(), dict(self._used_labels)
 
     def rollback(self, mark) -> None:
-        state, labels = mark
-        self.rng.setstate(state)
+        drawn, labels = mark
+        self.rng_rollback(drawn)
         self._used_labels = dict(labels)
 
 

@@ -11,14 +11,14 @@ undetected (zero false negatives over the whole family)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .agents import AttackerAgent
 from .knowledge import KnowledgeSet
 from .network import Envelope, Erase, Inject, Slot
 from .scenario import evaluate
 from .simulator import BudgetExceeded
-from .terms import Term, wire_view
+from .terms import Term, wire_eq, wire_view
 
 
 @dataclass
@@ -55,9 +55,9 @@ class ScriptedAttacker(AttackerAgent):
         self.cursor = 0
         # option -> the mark of the round that first offered it
         self.frontier: Optional[Dict[Tuple, object]] = None
+        self._filed = (0, 0)  # see `_file`; void while frontier is None
         self.sim = None       # the simulator to mark, when forks are wanted
-        self.spied_terms: List[Term] = []
-        self._spied_keys: Set[object] = set()
+        self.spied_terms: List[Term] = []   # distinct on the wire
         self.next_session = 2
         self.session_of: Dict[object, int] = {}
 
@@ -70,60 +70,60 @@ class ScriptedAttacker(AttackerAgent):
 
     def mark(self):
         return (super().mark(), len(self.spied_terms),
-                set(self._spied_keys), dict(self.session_of),
-                self.next_session)
+                dict(self.session_of), self.next_session)
 
     def rollback(self, mark) -> None:
-        base, spied, keys, session_of, self.next_session = mark
+        base, spied, session_of, self.next_session = mark
         super().rollback(base)
         del self.spied_terms[spied:]
-        self._spied_keys = set(keys)
         self.session_of = dict(session_of)
 
     def spy(self, env: Envelope, direction: str) -> None:
         super().spy(env, direction)
-        key = wire_view(env.body)
-        if key not in self._spied_keys:
-            self._spied_keys.add(key)
+        if not any(wire_eq(env.body, t) for t in self.spied_terms):
             self.spied_terms.append(env.body)
 
     def _visible(self, pending) -> List[int]:
-        return [seq for seq in sorted(pending)
-                if self.sees(pending[seq]) and not pending[seq].injected]
+        # pending is in seq order
+        return [seq for seq, env in pending.items()
+                if self.sees(env) and not env.injected]
 
-    def options(self, pending) -> List[Tuple]:
-        opts: List[Tuple] = [("erase", i)
-                             for i in range(len(self._visible(pending)))]
-        for j in range(min(len(self.spied_terms), MAX_INJECT_TERMS)):
+    def _file(self, erasable: int, injectable: int) -> None:
+        """File under one mark of this round the options it offers that
+        the frontier lacks: ("erase", i) for i < erasable, then ("inject",
+        j, receiver) for j < injectable.  `_filed` counts those filed."""
+        erased, injected = self._filed if self.frontier is not None else (0, 0)
+        if erasable <= erased and injectable <= injected:
+            return
+        # polled first, after this round's notify
+        fork = self.sim.mark(mid_round=True) if self.sim is not None else None
+        if self.frontier is None:
+            self.frontier = {}
+        for i in range(erased, erasable):
+            self.frontier[("erase", i)] = fork
+        for j in range(injected, injectable):
             for receiver in sorted(self.masks):
-                opts.append(("inject", j, receiver))
-        return opts
+                self.frontier[("inject", j, receiver)] = fork
+        self._filed = (max(erased, erasable), max(injected, injectable))
 
     def propose(self, pending, earlier):
         """The next scripted move; the attack-function machinery (rival
         takedowns, deferrals, hesitation) does not apply."""
-        opts = self.options(pending)
+        visible = self._visible(pending)
+        injectable = min(len(self.spied_terms), MAX_INJECT_TERMS)
         if self.cursor >= len(self.choices):
             # accumulate every option that becomes available once the
             # script has run out: each is a candidate next move
-            if opts:
-                if self.frontier is None:
-                    self.frontier = {}
-                new = [o for o in opts if o not in self.frontier]
-                if new:
-                    # polled first, after this round's notify
-                    fork = (self.sim.mark(mid_round=True)
-                            if self.sim is not None else None)
-                    for o in new:
-                        self.frontier[o] = fork
+            self._file(len(visible), injectable)
             return None
         choice = self.choices[self.cursor]
-        if choice not in opts:
+        limit = len(visible) if choice[0] == "erase" else injectable
+        if choice == ("wait",) or choice[1] >= limit:
             return None  # hold until the scripted move becomes possible
         self.cursor += 1
         if choice[0] == "erase":
             return Erase(actor=self.name,
-                         target_seq=self._visible(pending)[choice[1]],
+                         target_seq=visible[choice[1]],
                          rank=1, own_step=True)
         _, j, receiver = choice
         term = self.spied_terms[j]

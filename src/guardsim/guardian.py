@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import (Callable, Collection, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
-from .agents import (AttackFunction, EraseStep, InjectStep, NullMint,
-                     ObserveStep, Ref, instantiate, match)
+from .agents import (AttackFunction, DrawMarks, EraseStep, InjectStep,
+                     NullMint, ObserveStep, Ref, instantiate, match)
 from .network import Envelope, Erase, Inject, ResilientSignal, Slot
 from .terms import (Atom, Nonce, Term, render, wire_eq, wire_view,
                     subterms, SymEnc, AsymEnc, CommEnc)
@@ -80,8 +80,7 @@ class GuardianStore:
             entry = StoreEntry(term=term, labels=set(labels),
                                last_rev=self.revision)
             self.entries[key] = entry
-            for part in {key if c is term else wire_view(c)
-                         for c in _enc_components(term)}:
+            for part in {wire_view(c) for c in _enc_components(term)}:
                 self.by_part.setdefault(part, []).append(entry)
         else:
             entry.labels |= labels
@@ -287,7 +286,7 @@ GuardianAction = Union[Erase, Inject, ResilientSignal]
 FAKE_BITS = 64   # width of the guardian's fake values
 
 
-class Guardian:
+class Guardian(DrawMarks):
     """Runtime guardian bound to one simulation.  The simulator reseeds
     `rng`, which draws the fake values."""
 
@@ -443,7 +442,7 @@ class Guardian:
         the state of the fake-value draws."""
         return (self.store.mark(), len(self.module_log), list(self.pending),
                 self.deferred_abort, self.invariant_operative,
-                self.rng.getstate())
+                self.rng_mark())
 
     def rollback(self, mark) -> None:
         (store, log_length, pending, self.deferred_abort,
@@ -451,12 +450,13 @@ class Guardian:
         self.store.rollback(store)
         del self.module_log[log_length:]
         self.pending = list(pending)
-        self.rng.setstate(rng)
+        self.rng_rollback(rng)
 
     # -- interference --
 
     def mint_fake(self, spec: FakeSpec) -> Term:
         while True:
+            self.draws += 1
             value = self.rng.getrandbits(FAKE_BITS)
             term = (Nonce(value=value, width=FAKE_BITS, label=spec.label)
                     if spec.kind == "nonce"

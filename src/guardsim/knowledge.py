@@ -22,12 +22,12 @@ class KnowledgeSet:
 
     def __init__(self, items: Iterable[Term] = ()):
         self._items: Set[Term] = set()
-        self._log: List[Tuple[Term, ...]] = []
-        initial = tuple(dict.fromkeys(items))
-        if initial:
+        self._log: List[Tuple[Term, ...]] = []   # the new terms, per revision
+        if initial := tuple(items):
             self._commit(initial)
 
-    def _commit(self, added: Tuple[Term, ...]) -> None:
+    def _commit(self, terms: Tuple[Term, ...]) -> None:
+        added = tuple(t for t in dict.fromkeys(terms) if t not in self._items)
         self._items.update(added)
         self._log.append(added)
 
@@ -52,17 +52,15 @@ class KnowledgeSet:
         """Record one confirmed addition (one revision step); returns the
         new revision. Adding only already-known terms still advances the
         revision: the agent confirmed an action."""
-        self._commit(tuple(dict.fromkeys(terms)))
+        self._commit(terms)
         return self.revision
 
     def restore(self, revision: int) -> None:
         """Roll back to a prior revision, forgetting everything since."""
         if revision < 0 or revision > len(self._log):
             raise ValueError(f"unknown revision {revision}")
+        self._items.difference_update(*self._log[revision:])
         del self._log[revision:]
-        self._items = set()
-        for added in self._log:
-            self._items.update(added)
 
 
 def analyze_terms(items: Iterable[Term]) -> frozenset:

@@ -18,7 +18,35 @@ class TermError(Exception):
     """Raised for malformed term constructions (e.g. inverting a non-key)."""
 
 
-@dataclass(frozen=True)
+def _leaf(cls):
+    """A frozen, slotted dataclass; `_wire`, None on the class, has
+    `wire_view` build the view each time, as cheap as keeping one."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._wire = None
+    return cls
+
+
+def _cached(cls):
+    """A frozen, slotted dataclass with two slots out of equality and repr
+    that keep the wire view and the hash once built.  The hash is the
+    dataclass one, so sets iterate as they would without the cache."""
+    for name in ("_wire", "_hash"):
+        cls.__annotations__[name] = "object"
+        setattr(cls, name, field(default=None, init=False, compare=False,
+                                 repr=False))
+    cls = dataclass(frozen=True, slots=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", fields_hash(self))
+        return self._hash
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_leaf
 class Atom:
     """Opaque protocol constant or attacker-forged blob."""
     value: int
@@ -28,7 +56,7 @@ class Atom:
         return f"Atom({self.label}#{self.value})"
 
 
-@dataclass(frozen=True)
+@_leaf
 class AgentId:
     name: str
 
@@ -36,7 +64,7 @@ class AgentId:
         return f"AgentId({self.name})"
 
 
-@dataclass(frozen=True)
+@_leaf
 class Nonce:
     value: int
     width: int = 64
@@ -46,7 +74,7 @@ class Nonce:
         return f"Nonce({self.label}#{self.value})"
 
 
-@dataclass(frozen=True)
+@_leaf
 class SymKey:
     """Symmetric key; its own inverse."""
     value: int
@@ -56,7 +84,7 @@ class SymKey:
         return f"SymKey({self.label}#{self.value})"
 
 
-@dataclass(frozen=True)
+@_leaf
 class AsymKey:
     """One half of an asymmetric pair; inverse flips polarity."""
     pair_id: int
@@ -68,7 +96,7 @@ class AsymKey:
         return f"AsymKey({self.label}{inv}#{self.pair_id})"
 
 
-@dataclass(frozen=True)
+@_leaf
 class Password:
     value: int
     label: str = field(default="P", compare=False)
@@ -77,45 +105,45 @@ class Password:
         return f"Password({self.label}#{self.value})"
 
 
-@dataclass(frozen=True)
+@_cached
 class Pair:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@_cached
 class SymEnc:
     payload: "Term"
     key: "Term"
 
 
-@dataclass(frozen=True)
+@_cached
 class AsymEnc:
     payload: "Term"
     key: "Term"
 
 
-@dataclass(frozen=True)
+@_cached
 class CommEnc:
     """Commutative encryption: an unordered multiset of key layers."""
     payload: "Term"
     keys: Tuple["Term", ...]  # canonically sorted; never empty
 
 
-@dataclass(frozen=True)
+@_cached
 class Succ:
     """base + offset on the wire; offset > 0, base never itself a Succ."""
     base: "Term"
     offset: int
 
 
-@dataclass(frozen=True)
+@_leaf
 class Timestamp:
     value: int
     label: str = field(default="T", compare=False)
 
 
-@dataclass(frozen=True)
+@_leaf
 class Lifetime:
     value: int
     label: str = field(default="L", compare=False)
@@ -216,6 +244,12 @@ def wire_view(t: Term):
     key of equal value are the same bitstring); a Succ over a leaf folds
     into the value.  Structure (pairing, encryption layers) is preserved.
     """
+    try:
+        view = t._wire
+    except AttributeError:
+        raise TermError(f"not a term: {t!r}") from None
+    if view is not None:
+        return view
     if isinstance(t, (Nonce, SymKey, Password, Atom, Timestamp, Lifetime)):
         return ("leaf", t.value)
     if isinstance(t, AgentId):
@@ -224,19 +258,19 @@ def wire_view(t: Term):
         return ("akey", t.pair_id, t.private)
     if isinstance(t, Succ):
         base = wire_view(t.base)
-        if base[0] == "leaf":
-            return ("leaf", base[1] + t.offset)
-        return ("succ", base, t.offset)
-    if isinstance(t, Pair):
-        return ("pair", wire_view(t.left), wire_view(t.right))
-    if isinstance(t, SymEnc):
-        return ("senc", wire_view(t.payload), wire_view(t.key))
-    if isinstance(t, AsymEnc):
-        return ("aenc", wire_view(t.payload), wire_view(t.key))
-    if isinstance(t, CommEnc):
-        return ("cenc", wire_view(t.payload),
+        view = (("leaf", base[1] + t.offset) if base[0] == "leaf"
+                else ("succ", base, t.offset))
+    elif isinstance(t, Pair):
+        view = ("pair", wire_view(t.left), wire_view(t.right))
+    elif isinstance(t, SymEnc):
+        view = ("senc", wire_view(t.payload), wire_view(t.key))
+    elif isinstance(t, AsymEnc):
+        view = ("aenc", wire_view(t.payload), wire_view(t.key))
+    else:  # CommEnc
+        view = ("cenc", wire_view(t.payload),
                 tuple(sorted(wire_view(k) for k in t.keys)))
-    raise TermError(f"not a term: {t!r}")
+    object.__setattr__(t, "_wire", view)
+    return view
 
 
 def wire_eq(a: Term, b: Term) -> bool:

@@ -12,18 +12,27 @@ re-layerings).  For bounded instances this decides the same relation.
 every rule to every known term until a pass adds nothing.
 
 `replay_enumerate` is the attack search as `enumerate_attacks` ran it
-before it forked: every leaf wired afresh and replayed from round 0."""
+before it forked: every leaf wired afresh and replayed from round 0.
+
+`wire_view` is the wire encoding walked afresh on every call, as
+`terms.wire_view` computed it before composite terms kept their view.
+
+`options` is a scripted attacker's option menu listed in full, as
+`ScriptedAttacker` built and scanned it every round before it kept only
+the counts of what its frontier holds."""
 
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
-from guardsim.enumeration import EnumerationReport, ScriptedAttacker
+from guardsim.enumeration import (EnumerationReport, MAX_INJECT_TERMS,
+                                  ScriptedAttacker)
 from guardsim.knowledge import KnowledgeSet
 from guardsim.scenario import evaluate
 from guardsim.simulator import BudgetExceeded
-from guardsim.terms import (AsymEnc, CommEnc, Pair, Succ, SymEnc,
-                            comm_enc, comm_strip, inverse_key, subterms,
-                            KEY_TYPES)
+from guardsim.terms import (AgentId, AsymEnc, AsymKey, Atom, CommEnc,
+                            Lifetime, Nonce, Pair, Password, Succ, SymEnc,
+                            SymKey, TermError, Timestamp, comm_enc,
+                            comm_strip, inverse_key, subterms, KEY_TYPES)
 
 
 def candidate_universe(knowledge, goal):
@@ -156,3 +165,40 @@ def replay_enumerate(case, kind: str, max_choices: int = 8,
                 for option in scripted.frontier:
                     stack.append(prefix + (option,))
     return report
+
+
+def wire_view(t):
+    """The wire encoding of `t`, walked afresh."""
+    if isinstance(t, (Nonce, SymKey, Password, Atom, Timestamp, Lifetime)):
+        return ("leaf", t.value)
+    if isinstance(t, AgentId):
+        return ("agent", t.name)
+    if isinstance(t, AsymKey):
+        return ("akey", t.pair_id, t.private)
+    if isinstance(t, Succ):
+        base = wire_view(t.base)
+        if base[0] == "leaf":
+            return ("leaf", base[1] + t.offset)
+        return ("succ", base, t.offset)
+    if isinstance(t, Pair):
+        return ("pair", wire_view(t.left), wire_view(t.right))
+    if isinstance(t, SymEnc):
+        return ("senc", wire_view(t.payload), wire_view(t.key))
+    if isinstance(t, AsymEnc):
+        return ("aenc", wire_view(t.payload), wire_view(t.key))
+    if isinstance(t, CommEnc):
+        return ("cenc", wire_view(t.payload),
+                tuple(sorted(wire_view(k) for k in t.keys)))
+    raise TermError(f"not a term: {t!r}")
+
+
+def options(attacker: ScriptedAttacker, pending) -> List[Tuple]:
+    """Every option the scripted attacker has this round, in the order
+    its frontier files them."""
+    visible = [seq for seq in sorted(pending)
+               if attacker.sees(pending[seq]) and not pending[seq].injected]
+    opts: List[Tuple] = [("erase", i) for i in range(len(visible))]
+    for j in range(min(len(attacker.spied_terms), MAX_INJECT_TERMS)):
+        for receiver in sorted(attacker.masks):
+            opts.append(("inject", j, receiver))
+    return opts

@@ -1,15 +1,23 @@
 """The forked attack search against the replay-from-round-0 search it
-replaced (tests/oracles.py), the simulator's marks, and the count of
-leaves dropped over the round budget."""
+replaced (tests/oracles.py), the scripted attacker's option menu against
+the full list, the simulator's marks and the draw states they share, and
+the count of leaves dropped over the round budget."""
+
+import random
+from types import SimpleNamespace
 
 import pytest
 
-from guardsim.enumeration import enumerate_attacks
+from guardsim.agents import FreshMint, TFresh
+from guardsim.enumeration import ScriptedAttacker, enumerate_attacks
+from guardsim.guardian import FakeSpec
+from guardsim.network import ResilientSignal
 from guardsim.protocols import builtin, builtin_names
-from guardsim.simulator import BudgetExceeded, Simulator
+from guardsim.protocols.iso_sc27 import make_guardian
+from guardsim.simulator import BudgetExceeded, DeadlockError, Simulator
 
 from golden import result_records
-from oracles import replay_enumerate
+from oracles import options, replay_enumerate
 
 
 def report_fields(rep):
@@ -42,6 +50,138 @@ def test_fork_finds_what_replay_finds(name, kind, depth, seed, pinned):
     if pinned is not None:
         assert (forked.runs, len(forked.fn_witnesses),
                 forked.deceptions_detected) == pinned
+
+
+@pytest.mark.parametrize("name,kind", [(name, kind)
+                                       for name, kind, *_ in GRID])
+def test_menu_files_what_the_full_list_offers(name, kind, monkeypatch):
+    """Each round, a script that has run out files exactly the listed
+    options its frontier lacks, in list order and under one mark, and a
+    scripted move is taken exactly when the list offers it."""
+    original = ScriptedAttacker.propose
+    rounds = 0
+
+    def propose(att, pending, earlier):
+        offered = options(att, pending)
+        before = dict(att.frontier or {})
+        cursor = att.cursor
+        prop = original(att, pending, earlier)
+        if cursor >= len(att.choices):
+            new = [o for o in offered if o not in before]
+            assert list(att.frontier or {}) == list(before) + new
+            assert all(att.frontier[o] is before[o] for o in before)
+            assert len({id(att.frontier[o]) for o in new}) <= 1
+        else:
+            assert (att.cursor > cursor) == (att.choices[cursor] in offered)
+        nonlocal rounds
+        rounds += 1
+        return prop
+
+    monkeypatch.setattr(ScriptedAttacker, "propose", propose)
+    enumerate_attacks(builtin(name), kind, max_choices=3)
+    assert rounds
+
+
+def test_a_move_not_offered_is_held():
+    att = ScriptedAttacker(name="E", interest=[], masks={"B": "A"},
+                           choices=())
+    for choices in ([("erase", 0)], [("inject", 0, "B")], [("wait",)]):
+        att.choices, att.cursor = choices, 0
+        assert att.propose({}, []) is None and att.cursor == 0
+
+
+def test_menu_keeps_its_marks_when_the_counts_drop():
+    att = ScriptedAttacker(name="E", interest=[], masks={"C": "A", "B": "A"},
+                           choices=())
+    att.sim = SimpleNamespace(mark=lambda mid_round: object())
+    filed = {}
+    for erasable, injectable in [(2, 0), (1, 1), (2, 1), (0, 0), (3, 2)]:
+        att._file(erasable, injectable)
+        for option, fork in filed.items():
+            assert att.frontier[option] is fork
+        filed = dict(att.frontier)
+    assert list(filed) == [("erase", 0), ("erase", 1), ("inject", 0, "B"),
+                           ("inject", 0, "C"), ("erase", 2),
+                           ("inject", 1, "B"), ("inject", 1, "C")]
+    assert len({id(fork) for fork in filed.values()}) == 3
+
+
+def test_marks_share_the_draw_state_until_a_draw():
+    mint = FreshMint(random.Random(3))
+    first, second = mint.mark(), mint.mark()
+    assert first[0][1] is second[0][1]
+    mint.mint(TFresh("n"), "A", 64)
+    third = mint.mark()
+    assert third[0][1] is not first[0][1]
+    assert third[0][1] == mint.rng.getstate()
+    # as many draws on another path, of another width: another state
+    mint.rollback(first)
+    mint.mint(TFresh("n"), "A", 256)
+    assert mint.mark()[0][1] == mint.rng.getstate() != third[0][1]
+
+    guardian = make_guardian()
+    first, second = guardian.mark(), guardian.mark()
+    assert first[-1][1] is second[-1][1]
+    guardian.mint_fake(FakeSpec())
+    assert guardian.mark()[-1][1] == guardian.rng.getstate()
+
+
+def test_rollback_after_draws_replays_the_same_values():
+    class CountingRandom(random.Random):
+        restored = 0
+
+        def setstate(self, state):
+            self.restored += 1
+            super().setstate(state)
+
+    mint = FreshMint(CountingRandom(5))
+    guardian = make_guardian()
+    guardian.rng = CountingRandom(6)
+    marks = mint.mark(), guardian.mark()
+
+    def draw():
+        return ([mint.mint(TFresh("n", label="N_{agent}"), "A", 64)
+                 for _ in range(3)],
+                [guardian.mint_fake(FakeSpec()) for _ in range(2)])
+
+    first = draw()
+    for _ in range(2):
+        mint.rollback(marks[0])
+        guardian.rollback(marks[1])
+        again = draw()
+        assert again == first
+        assert [repr(t) for t in again[0]] == [repr(t) for t in first[0]]
+    # a rollback with no draw since the mark leaves the generator alone
+    restored = mint.rng.restored, guardian.rng.restored
+    marks = mint.mark(), guardian.mark()
+    mint.rollback(marks[0])
+    guardian.rollback(marks[1])
+    assert (mint.rng.restored, guardian.rng.restored) == restored
+
+
+@pytest.mark.parametrize("name", ["iso-sc-27", "splice-as"])
+def test_every_mark_of_a_run_holds_the_live_draw_state(name):
+    """Marks taken round by round, with rollbacks between them, each hold
+    the states the generators have at that moment."""
+    wiring = builtin(name).wire(guardian=True, attack="classic")
+    sim = wiring.simulator(seed=2)
+    marks = []
+    chosen = None
+    while not isinstance(chosen, ResilientSignal):
+        mark = sim.mark()
+        assert mark[3][0][1] == sim.rng.getstate()
+        assert mark[-1][-1][1] == sim.guardian.rng.getstate()
+        marks.append(mark)
+        if len(marks) % 3 == 0:
+            sim.rollback(marks[-2])
+            sim.step()
+        try:
+            chosen = sim.step()
+        except DeadlockError:
+            break
+    assert sim.mint.draws and sim.guardian.draws
+    # most rounds draw nothing, so most marks share a state
+    assert 2 * len({id(m[3][0][1]) for m in marks}) < len(marks)
 
 
 def state_records(result):

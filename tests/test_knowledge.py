@@ -122,6 +122,26 @@ def test_revisions_and_rollback():
         ks.restore(99)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(
+    st.lists(st.integers(0, 7), max_size=4).map(lambda xs: ("add", xs)),
+    st.integers(0, 12).map(lambda r: ("restore", r))), max_size=30))
+def test_restore_undoes_only_what_it_drops(ops):
+    # terms are drawn from a small pool, so additions repeat known terms
+    pool = [M, K, NA, NB, KA, KB, SymEnc(M, K), Pair(NA, NB)]
+    ks = KnowledgeSet(pool[:4])
+    log = [pool[:4]]   # what each revision was asked to add
+    for op, arg in ops:
+        if op == "add":
+            ks.add(*(pool[i] for i in arg))
+            log.append([pool[i] for i in arg])
+        elif arg <= len(log):
+            ks.restore(arg)
+            del log[arg:]
+        assert ks.revision == len(log)
+        assert set(ks) == {t for added in log for t in added}
+
+
 def test_queries_do_not_mutate():
     ks = KnowledgeSet([SymEnc(M, K), K])
     before = ks.items

@@ -1,12 +1,18 @@
-"""Term construction, normalization, equality and rendering."""
+"""Term construction, normalization, equality and rendering, and the
+wire views and hashes that composite terms keep."""
+
+import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from guardsim.terms import (AgentId, AsymEnc, AsymKey, Atom, Nonce,
-                            Pair, Password, Succ, SymEnc, SymKey,
-                            TermError, comm_enc, comm_strip, inverse_key,
-                            pair, pair_items, render, subterms, succ,
-                            wire_eq, wire_view)
+from guardsim.terms import (AgentId, AsymEnc, AsymKey, Atom, CommEnc,
+                            Lifetime, Nonce, Pair, Password, Succ, SymEnc,
+                            SymKey, TermError, Timestamp, comm_enc,
+                            comm_strip, inverse_key, pair, pair_items, render,
+                            subterms, succ, wire_eq, wire_view)
+
+import oracles
 
 K = SymKey(value=1, label="K_AB")
 NA = Nonce(value=10, label="N_A")
@@ -82,3 +88,90 @@ def test_subterms_and_wire_view_stability():
     subs = list(subterms(t))
     assert NA in subs and K in subs and t in subs
     assert wire_view(t) == wire_view(SymEnc(Pair(NA, NB), K))
+
+
+LABELS = st.sampled_from(["x", "N_A", "K'"])
+VALUES = st.integers(0, 3)
+LEAVES = st.one_of(
+    st.builds(Nonce, VALUES, st.sampled_from([8, 64]), LABELS),
+    st.builds(SymKey, VALUES, LABELS), st.builds(Atom, VALUES, LABELS),
+    st.builds(Password, VALUES, LABELS), st.builds(Timestamp, VALUES, LABELS),
+    st.builds(Lifetime, VALUES, LABELS),
+    st.builds(AsymKey, VALUES, st.booleans(), LABELS),
+    st.builds(AgentId, st.sampled_from(["A", "B"])))
+TERMS = st.recursive(
+    LEAVES,
+    lambda t: st.one_of(
+        st.builds(Pair, t, t), st.builds(SymEnc, t, t),
+        st.builds(AsymEnc, t, t), st.builds(succ, t, st.integers(1, 2)),
+        st.builds(comm_enc, t, st.lists(st.builds(SymKey, VALUES, LABELS),
+                                        min_size=1, max_size=3))),
+    max_leaves=8)
+
+
+def compared_fields(t):
+    return tuple(getattr(t, f.name) for f in dataclasses.fields(t)
+                 if f.compare)
+
+
+def relabel(t, label):
+    """`t` rebuilt with every label replaced: an equal term."""
+    changes = {}
+    for f in dataclasses.fields(t):
+        value = getattr(t, f.name)
+        if not f.init:
+            continue   # the kept view and hash
+        if f.name == "label":
+            changes["label"] = label
+        elif isinstance(value, tuple):
+            changes[f.name] = tuple(relabel(v, label) for v in value)
+        elif dataclasses.is_dataclass(value):
+            changes[f.name] = relabel(value, label)
+    return dataclasses.replace(t, **changes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TERMS)
+def test_hash_is_the_dataclass_hash_of_the_compared_fields(t):
+    for _ in range(2):   # built, then kept
+        assert hash(t) == hash(compared_fields(t))
+        for sub in subterms(t):
+            assert hash(sub) == hash(compared_fields(sub))
+
+
+@settings(max_examples=200, deadline=None)
+@given(TERMS)
+def test_wire_view_matches_the_uncached_walk(t):
+    for _ in range(2):
+        assert wire_view(t) == oracles.wire_view(t)
+    # each subterm keeps the view its parent's walk built
+    for sub in subterms(t):
+        assert wire_view(sub) == oracles.wire_view(sub)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TERMS, LABELS)
+def test_relabelled_terms_share_hash_and_wire_view(t, label):
+    wire_view(t)
+    other = relabel(t, label)
+    assert other == t
+    assert hash(other) == hash(t)
+    assert wire_view(other) == wire_view(t)
+
+
+def test_cached_fields_are_not_compared_or_shown():
+    t = SymEnc(pair(NA, NB), K)
+    before = repr(t)
+    wire_view(t), hash(t)
+    assert repr(t) == before and "_wire" not in before
+    assert t == SymEnc(pair(NA, NB), K)
+    assert [f.name for f in dataclasses.fields(CommEnc) if f.compare] \
+        == ["payload", "keys"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.payload = NA
+
+
+@pytest.mark.parametrize("bad", [5, "N_A", None, (NA,), Pair(NA, 3)])
+def test_wire_view_of_a_non_term_raises(bad):
+    with pytest.raises(TermError):
+        wire_view(bad)
