@@ -10,10 +10,11 @@ closure is never enumerated.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .terms import (AsymEnc, CommEnc, Pair, Succ, SymEnc, Term,
-                    comm_strip, inverse_key, KEY_TYPES)
+from .terms import (AsymEnc, AsymKey, CommEnc, Pair, Password, Succ,
+                    SymEnc, SymKey, Term, comm_strip, inverse_key, KEY_TYPES)
 
 
 class KnowledgeSet:
@@ -72,39 +73,48 @@ def analyze_terms(items: Iterable[Term]) -> frozenset:
     each term once (the `analz` closure of Paulson's inductive method): an
     encryption whose inverse key is not yet known waits, as its (term,
     key) pair, under that inverse key and is opened when the key arrives.
-    Terminates: every added term is a strict subterm or a key-multiset
-    reduction.
+    A learned term is hashed once: it is new when adding it grew the set.
+    Terminates: learned terms are strict subterms or key-multiset reductions.
     """
     known: Set[Term] = set(items)
+    size = len(known)
     todo = list(known)
     locked: Dict[Term, List[Tuple[Term, Term]]] = {}
-
-    def learn(t: Term) -> None:
-        if t not in known:
-            known.add(t)
-            todo.append(t)
-
-    def opened(t: Term, key: Term) -> Term:
-        return comm_strip(t, key) if isinstance(t, CommEnc) else t.payload
-
     while todo:
         t = todo.pop()
-        for enc, key in locked.pop(t, ()):
-            learn(opened(enc, key))
-        if isinstance(t, Pair):
-            learn(t.left)
-            learn(t.right)
-        elif isinstance(t, Succ):
-            learn(t.base)
-        elif isinstance(t, (SymEnc, AsymEnc, CommEnc)):
-            keys = set(t.keys) if isinstance(t, CommEnc) else (t.key,)
-            for key in keys:
-                if isinstance(key, KEY_TYPES):
-                    inverse = inverse_key(key)
-                    if inverse in known:
-                        learn(opened(t, key))
-                    else:
-                        locked.setdefault(inverse, []).append((t, key))
+        kind = type(t)
+        if kind is Pair:
+            parts = (t.left, t.right)
+        elif kind is Succ:
+            parts = (t.base,)
+        elif kind is SymEnc or kind is AsymEnc or kind is CommEnc:
+            for key in (t.key,) if kind is not CommEnc else set(t.keys):
+                kk = type(key)
+                if kk is SymKey or kk is Password:
+                    inverse = key
+                elif kk is AsymKey:
+                    inverse = AsymKey(key.pair_id, not key.private, key.label)
+                else:
+                    continue
+                if inverse not in known:
+                    locked.setdefault(inverse, []).append((t, key))
+                    continue
+                part = comm_strip(t, key) if kind is CommEnc else t.payload
+                known.add(part)
+                if len(known) > size:
+                    size += 1
+                    todo.append(part)
+            continue
+        elif locked and (waiting := locked.pop(t, None)):
+            parts = [comm_strip(enc, key) if type(enc) is CommEnc
+                     else enc.payload for enc, key in waiting]
+        else:
+            continue
+        for part in parts:
+            known.add(part)
+            if len(known) > size:
+                size += 1
+                todo.append(part)
     return frozenset(known)
 
 
@@ -148,7 +158,7 @@ def derivable(ks: KnowledgeSet, goal: Term,
                 # Peel toward the goal: find a known superset-layered form.
                 for c in analyzed:
                     if (isinstance(c, CommEnc) and c.payload == t.payload
-                            and set(t.keys) <= set(c.keys)):
+                            and Counter(t.keys) <= Counter(c.keys)):
                         extra = list(c.keys)
                         for k in t.keys:
                             extra.remove(k)

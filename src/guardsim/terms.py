@@ -10,7 +10,7 @@ analysis measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator, Tuple, Union
 
 
@@ -18,36 +18,51 @@ class TermError(Exception):
     """Raised for malformed term constructions (e.g. inverting a non-key)."""
 
 
-def _leaf(cls):
-    """A frozen, slotted dataclass; `_wire`, None on the class, has
-    `wire_view` build the view each time, as cheap as keeping one."""
+class _Kept:
+    """Base of the term classes: the hash is kept in a slot filled on first
+    use.  Pickle and copy rebuild a term, since a hash is per hash seed."""
+    __slots__ = ("_hash",)
+    _wire = None   # a leaf's view is built afresh, as cheap as keeping one
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:   # not hashed yet
+            h = self._fields_hash()
+            object.__setattr__(self, "_hash", h)
+            return h
+
+
+def _term(cls):
+    """A frozen, slotted dataclass whose kept hash is the dataclass hash of
+    the compared fields, so sets iterate as they would without the cache."""
     cls = dataclass(frozen=True, slots=True)(cls)
-    cls._wire = None
+    # _Kept's __setattr__ and __delattr__ stand in for dataclass's, which,
+    # like 3.10's leftover __weakref__, keep the class it replaced alive
+    for name in vars(cls).keys() & {"__setattr__", "__delattr__",
+                                    "__weakref__"}:
+        delattr(cls, name)
+    cls._fields_hash, cls.__hash__ = cls.__hash__, _Kept.__hash__
     return cls
 
 
 def _cached(cls):
-    """A frozen, slotted dataclass with two slots out of equality and repr
-    that keep the wire view and the hash once built.  The hash is the
-    dataclass one, so sets iterate as they would without the cache."""
-    for name in ("_wire", "_hash"):
-        cls.__annotations__[name] = "object"
-        setattr(cls, name, field(default=None, init=False, compare=False,
-                                 repr=False))
-    cls = dataclass(frozen=True, slots=True)(cls)
-    fields_hash = cls.__hash__
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", fields_hash(self))
-        return self._hash
-
-    cls.__hash__ = __hash__
-    return cls
+    """A composite term, which keeps its wire view in a field."""
+    cls.__annotations__["_wire"] = "object"
+    cls._wire = field(default=None, init=False, compare=False, repr=False)
+    return _term(cls)
 
 
-@_leaf
-class Atom:
+@_term
+class Atom(_Kept):
     """Opaque protocol constant or attacker-forged blob."""
     value: int
     label: str = field(default="m", compare=False)
@@ -56,16 +71,16 @@ class Atom:
         return f"Atom({self.label}#{self.value})"
 
 
-@_leaf
-class AgentId:
+@_term
+class AgentId(_Kept):
     name: str
 
     def __repr__(self):
         return f"AgentId({self.name})"
 
 
-@_leaf
-class Nonce:
+@_term
+class Nonce(_Kept):
     value: int
     width: int = 64
     label: str = field(default="N", compare=False)
@@ -74,8 +89,8 @@ class Nonce:
         return f"Nonce({self.label}#{self.value})"
 
 
-@_leaf
-class SymKey:
+@_term
+class SymKey(_Kept):
     """Symmetric key; its own inverse."""
     value: int
     label: str = field(default="K", compare=False)
@@ -84,8 +99,8 @@ class SymKey:
         return f"SymKey({self.label}#{self.value})"
 
 
-@_leaf
-class AsymKey:
+@_term
+class AsymKey(_Kept):
     """One half of an asymmetric pair; inverse flips polarity."""
     pair_id: int
     private: bool = False
@@ -96,8 +111,8 @@ class AsymKey:
         return f"AsymKey({self.label}{inv}#{self.pair_id})"
 
 
-@_leaf
-class Password:
+@_term
+class Password(_Kept):
     value: int
     label: str = field(default="P", compare=False)
 
@@ -106,45 +121,45 @@ class Password:
 
 
 @_cached
-class Pair:
+class Pair(_Kept):
     left: "Term"
     right: "Term"
 
 
 @_cached
-class SymEnc:
+class SymEnc(_Kept):
     payload: "Term"
     key: "Term"
 
 
 @_cached
-class AsymEnc:
+class AsymEnc(_Kept):
     payload: "Term"
     key: "Term"
 
 
 @_cached
-class CommEnc:
+class CommEnc(_Kept):
     """Commutative encryption: an unordered multiset of key layers."""
     payload: "Term"
     keys: Tuple["Term", ...]  # canonically sorted; never empty
 
 
 @_cached
-class Succ:
+class Succ(_Kept):
     """base + offset on the wire; offset > 0, base never itself a Succ."""
     base: "Term"
     offset: int
 
 
-@_leaf
-class Timestamp:
+@_term
+class Timestamp(_Kept):
     value: int
     label: str = field(default="T", compare=False)
 
 
-@_leaf
-class Lifetime:
+@_term
+class Lifetime(_Kept):
     value: int
     label: str = field(default="L", compare=False)
 

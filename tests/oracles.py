@@ -11,6 +11,11 @@ re-layerings).  For bounded instances this decides the same relation.
 `analyze_terms` computed before it became a worklist: each pass applies
 every rule to every known term until a pass adds nothing.
 
+`analyze_terms` is the worklist as it was written before its loop was
+tightened: a `learn` closure that tests membership before it adds, and
+`isinstance` dispatch.  It learns terms in the same order, so the two
+return sets that iterate alike.
+
 `replay_enumerate` is the attack search as `enumerate_attacks` ran it
 before it forked: every leaf wired afresh and replayed from round 0.
 
@@ -22,7 +27,7 @@ before it forked: every leaf wired afresh and replayed from round 0.
 the counts of what its frontier holds."""
 
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from guardsim.enumeration import (EnumerationReport, MAX_INJECT_TERMS,
                                   ScriptedAttacker)
@@ -120,6 +125,41 @@ def frontier_analyze(items):
         if not new:
             return frozenset(known)
         known.update(new)
+
+
+def analyze_terms(items) -> frozenset:
+    """Decomposition fixpoint by a worklist that visits each term once."""
+    known: Set = set(items)
+    todo = list(known)
+    locked: Dict = {}
+
+    def learn(t) -> None:
+        if t not in known:
+            known.add(t)
+            todo.append(t)
+
+    def opened(t, key):
+        return comm_strip(t, key) if isinstance(t, CommEnc) else t.payload
+
+    while todo:
+        t = todo.pop()
+        for enc, key in locked.pop(t, ()):
+            learn(opened(enc, key))
+        if isinstance(t, Pair):
+            learn(t.left)
+            learn(t.right)
+        elif isinstance(t, Succ):
+            learn(t.base)
+        elif isinstance(t, (SymEnc, AsymEnc, CommEnc)):
+            keys = set(t.keys) if isinstance(t, CommEnc) else (t.key,)
+            for key in keys:
+                if isinstance(key, KEY_TYPES):
+                    inverse = inverse_key(key)
+                    if inverse in known:
+                        learn(opened(t, key))
+                    else:
+                        locked.setdefault(inverse, []).append((t, key))
+    return frozenset(known)
 
 
 def _run_with_choices(case, kind: str, choices: Sequence[Tuple],

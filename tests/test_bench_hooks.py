@@ -38,3 +38,22 @@ def test_tracer_installs_and_restores():
     assert guardian.Guardian.__dict__["process"] is process
     assert agents.match is match
     assert iso_sc27.wire is wire
+
+
+def test_tracer_spans_the_analysis_inside_derivable():
+    """`derivable` calls `analyze_terms` by its module name, so the
+    tracer's `knowledge.analyze_terms` span and `items_in` see it."""
+    from guardsim import knowledge
+    from guardsim.terms import Nonce, Pair, SymEnc, SymKey
+
+    key, secret = SymKey(value=1), Nonce(value=2)
+    ks = knowledge.KnowledgeSet([key, SymEnc(secret, key), Nonce(value=3)])
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert knowledge.derivable(ks, Pair(secret, key))
+    finally:
+        tracer.uninstall()
+    spans = [tracer.names[i] for i in tracer.nids]
+    assert spans.count("knowledge.analyze_terms") == 1
+    assert tracer.items_in == len(ks) == 3

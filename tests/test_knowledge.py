@@ -1,15 +1,18 @@
 """Derivability, analysis fixpoint, revisions, and oracle agreement."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from guardsim import knowledge
 from guardsim.knowledge import KnowledgeSet, analyze, analyze_terms, derivable
 from guardsim.terms import (AsymEnc, AsymKey, Atom, Nonce, Pair,
                             Password, SymEnc, SymKey, comm_enc,
-                            inverse_key, succ)
+                            inverse_key, subterms, succ)
 
+import oracles
 from oracles import closure_oracle, frontier_analyze
 
 M = Atom(value=1, label="m")
@@ -38,6 +41,14 @@ def test_commutative_peel():
     goal = comm_enc(M, [KB])
     assert derivable(ks, goal)
     assert closure_oracle(ks.items, goal)
+
+
+def test_commutative_peel_counts_repeated_layers():
+    once = comm_enc(M, [KA])
+    twice = comm_enc(M, [KA, KA])
+    assert not derivable(KnowledgeSet([once]), twice)
+    assert derivable(KnowledgeSet([once, KA]), twice)
+    assert derivable(KnowledgeSet([comm_enc(M, [KA, KA, KB]), KB]), twice)
 
 
 def test_commutativity_of_key_multiset():
@@ -267,3 +278,39 @@ def test_worklist_analysis_matches_frontier_fixpoint(seed, length, broken):
 @given(small_knowledge())
 def test_worklist_analysis_matches_frontier_fixpoint_small(terms):
     assert analyze_terms(terms) == frontier_analyze(terms)
+
+
+# hash(-1) == hash(-2), so terms over these values collide in a set, and a
+# set's iteration order then shows the order its terms were added in
+DY_VALUES = st.integers(-2, 1)
+DY_KEYS = st.one_of(
+    st.builds(SymKey, DY_VALUES, st.just("K")),
+    st.builds(Password, DY_VALUES, st.just("P")),
+    st.builds(AsymKey, DY_VALUES, st.booleans(), st.just("A")))
+DY_TERMS = st.recursive(
+    st.one_of(DY_KEYS, st.builds(Nonce, DY_VALUES, st.just(64),
+                                 st.just("N"))),
+    lambda t: st.one_of(
+        st.builds(Pair, t, t),
+        st.builds(SymEnc, t, st.builds(SymKey, DY_VALUES, st.just("K"))),
+        st.builds(AsymEnc, t, st.builds(AsymKey, DY_VALUES, st.booleans(),
+                                        st.just("A"))),
+        st.builds(comm_enc, t, st.lists(DY_KEYS, min_size=1, max_size=3)),
+        st.builds(succ, t, st.integers(1, 2))),
+    max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(DY_TERMS, min_size=1, max_size=8), st.data())
+def test_analysis_matches_the_reference_worklist(items, data):
+    """Same set, same iteration order, so `derivable` peels the same
+    commutative layer and explains the same steps."""
+    assert list(analyze_terms(items)) == list(oracles.analyze_terms(items))
+    goal = data.draw(st.one_of(
+        DY_TERMS, st.sampled_from([s for t in items for s in subterms(t)])))
+    ks = KnowledgeSet(items)
+    steps, reference_steps = [], []
+    answer = derivable(ks, goal, explain=steps)
+    with mock.patch.object(knowledge, "analyze_terms", oracles.analyze_terms):
+        assert derivable(ks, goal, explain=reference_steps) == answer
+    assert steps == reference_steps

@@ -1,11 +1,20 @@
 """Term construction, normalization, equality and rendering, and the
-wire views and hashes that composite terms keep."""
+wire views and hashes that terms keep."""
 
+import copy
 import dataclasses
+import gc
+import os
+import pickle
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from guardsim import terms
 from guardsim.terms import (AgentId, AsymEnc, AsymKey, Atom, CommEnc,
                             Lifetime, Nonce, Pair, Password, Succ, SymEnc,
                             SymKey, TermError, Timestamp, comm_enc,
@@ -120,7 +129,7 @@ def relabel(t, label):
     for f in dataclasses.fields(t):
         value = getattr(t, f.name)
         if not f.init:
-            continue   # the kept view and hash
+            continue   # a composite's kept view
         if f.name == "label":
             changes["label"] = label
         elif isinstance(value, tuple):
@@ -169,9 +178,74 @@ def test_cached_fields_are_not_compared_or_shown():
         == ["payload", "keys"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.payload = NA
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del NA.value
 
 
 @pytest.mark.parametrize("bad", [5, "N_A", None, (NA,), Pair(NA, 3)])
 def test_wire_view_of_a_non_term_raises(bad):
     with pytest.raises(TermError):
         wire_view(bad)
+
+
+KINDS = (Atom, AgentId, Nonce, SymKey, AsymKey, Password, Pair, SymEnc,
+         AsymEnc, CommEnc, Succ, Timestamp, Lifetime)
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda t: pickle.loads(pickle.dumps(t)),
+          "replace": dataclasses.replace}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("hashed", [False, True])
+def test_copies_are_equal_and_keep_no_hash_or_view(how, hashed):
+    leaf = Nonce(value=7, width=8, label="N_C")
+    composite = comm_enc(Pair(leaf, AgentId("A")), [K])
+    for t in (leaf, composite):
+        if hashed:
+            hash(t), wire_view(t)
+            assert t._hash == hash(compared_fields(t))   # kept
+        other = COPIES[how](t)
+        assert other == t and repr(other) == repr(t)
+        assert getattr(other, "_hash", None) is None
+        assert getattr(other, "_wire", None) is None
+        assert hash(other) == hash(compared_fields(t)) == hash(t)
+        assert wire_view(other) == wire_view(t)
+
+
+SRC = str(Path(terms.__file__).resolve().parents[1])
+DUMP = """
+import pickle, sys
+from guardsim.terms import AgentId, Pair
+t = Pair(AgentId("A"), AgentId("B"))
+hash(t), hash(t.left)
+sys.stdout.write(pickle.dumps(t).hex())
+"""
+LOAD = """
+import pickle, sys
+from guardsim.terms import AgentId, Pair
+t = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh = Pair(AgentId("A"), AgentId("B"))
+assert t == fresh, t
+assert t in {fresh} and t.left in {fresh.left}
+assert hash(t) == hash(fresh)
+"""
+
+
+def test_a_pickled_term_hashes_afresh_under_another_hash_seed():
+    def python(code, seed, stdin=None):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=SRC)
+        run = subprocess.run([sys.executable, "-c", code], input=stdin,
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        return run.stdout
+    python(LOAD, 2, stdin=python(DUMP, 1))
+
+
+def test_each_term_kind_has_one_live_class():
+    """dataclass(slots=True) replaces each class; the one it replaced
+    must not stay alive."""
+    gc.collect()
+    live = Counter(o.__qualname__ for o in gc.get_objects()
+                   if isinstance(o, type) and o.__module__ == terms.__name__)
+    assert {kind.__name__: live[kind.__name__] for kind in KINDS} \
+        == {kind.__name__: 1 for kind in KINDS}
