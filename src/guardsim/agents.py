@@ -27,6 +27,7 @@ from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
                     Union)
 
 from .knowledge import KnowledgeSet
+from .marks import DrawMarks, Marked
 from .network import Envelope, Erase, Inject, Send, Slot
 from .terms import (AgentId, Atom, AsymEnc, AsymKey, CommEnc, Nonce,
                     Pair, Succ, SymEnc, SymKey, Term, comm_enc, comm_strip,
@@ -230,27 +231,11 @@ def reinterpret(term: Term) -> Term:
                  label="junk")
 
 
-class DrawMarks:
-    """Marks of `self.rng`, whose draws the class counts in `draws`: with
-    no draw since the last mark or rollback (`_drawn`), a mark shares its
-    state and a rollback leaves `rng` alone.  Set `rng` before marking."""
-    draws, _drawn = 0, (-1, None)
-
-    def rng_mark(self):
-        if self._drawn[0] != self.draws:
-            self._drawn = (self.draws, self.rng.getstate())
-        return self._drawn
-
-    def rng_rollback(self, mark) -> None:
-        if mark[0] != self.draws:
-            self.rng.setstate(mark[1])
-        self.draws, self._drawn = mark[0], mark
-
-
 class FreshMint(DrawMarks):
     """Deterministic fresh-value source with scenario-unique labels."""
 
     KINDS = ("nonce", "symkey", "asymkey", "atom")
+    _moving = (("_used_labels", "copy"),)
 
     def __init__(self, rng):
         self.rng = rng
@@ -279,16 +264,6 @@ class FreshMint(DrawMarks):
         if spec.kind == "atom":
             return Atom(value=value, label=label)
         raise ValueError(f"unknown fresh kind {spec.kind!r}")
-
-    def mark(self):
-        """The draw state and the labels handed out, for `rollback`."""
-        return self.rng_mark(), dict(self._used_labels)
-
-    def rollback(self, mark) -> None:
-        drawn, labels = mark
-        self.rng_rollback(drawn)
-        self._used_labels = dict(labels)
-
 
 def instantiate(template, bindings: Dict[str, Term], mint: FreshMint,
                 agent: str, nonce_bits: int) -> Term:
@@ -439,7 +414,10 @@ class Consumed:
 
 
 @dataclass
-class Session:
+class Session(Marked):
+    _moving = (("pc", "value"), ("status", "value"), ("bindings", "copy"),
+               ("consumed", "grows"), ("last_msg", "value"))
+
     key: int                  # agent-local ordinal
     net_session: int          # protocol session label on the wire
     script: RoleScript
@@ -455,7 +433,7 @@ class Session:
         return None
 
 
-class HonestAgent:
+class HonestAgent(Marked):
     """Follows its role scripts; never inspects envelope identities.
 
     Active sessions are filed by the step they stand at: the keys of the
@@ -467,6 +445,11 @@ class HonestAgent:
     only those buckets' sessions and the residual ones, in ascending key
     order.  Once the guardian raises its abort flag (`abort`), the agent
     opens and advances nothing more."""
+
+    _moving = (("sessions", "each"), ("aborted", "value"),
+               ("_send_cache", "copy"), ("_ready", "copy"),
+               ("_waiting", "copy"), ("_buckets", "copies"),
+               ("_paths", "copy"), ("_consumed", "copy"))
 
     def __init__(self, name: str, responder_scripts: Sequence[RoleScript] = ()):
         self.name = name
@@ -612,39 +595,6 @@ class HonestAgent:
         sess.pc += 1
         self._file(sess)
 
-    # -- marks --
-
-    def mark(self):
-        """What `rollback` needs to bring this agent back: each session's
-        moving parts (its consumed list only grows), the filing and the
-        abort flag."""
-        return ([(s, s.pc, s.status, dict(s.bindings), s.last_msg,
-                  len(s.consumed)) for s in self.sessions.values()],
-                self._copy_filing(self._ready, self._waiting, self._buckets,
-                                  self._paths, self._consumed,
-                                  self._send_cache),
-                self.aborted)
-
-    def rollback(self, mark) -> None:
-        """Restore the agent `mark` was taken of; sessions opened since
-        are dropped.  The mark stays valid for another rollback."""
-        sessions, filing, self.aborted = mark
-        self.sessions = {}
-        for sess, pc, status, bindings, last_msg, consumed in sessions:
-            sess.pc, sess.status, sess.last_msg = pc, status, last_msg
-            sess.bindings = dict(bindings)   # `instantiate` writes to it
-            del sess.consumed[consumed:]
-            self.sessions[sess.key] = sess
-        (self._ready, self._waiting, self._buckets, self._paths,
-         self._consumed, self._send_cache) = self._copy_filing(*filing)
-
-    @staticmethod
-    def _copy_filing(ready, waiting, buckets, paths, consumed, send_cache):
-        return (list(ready), dict(waiting),
-                {slot: set(keys) for slot, keys in buckets.items()},
-                set(paths), set(consumed), dict(send_cache))
-
-
 # -- attackers --------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -682,7 +632,7 @@ class AttackFunction:
     steps: Tuple[object, ...]
 
 
-class AttackerAgent:
+class AttackerAgent(Marked):
     """Dolev-Yao attacker that spies both the inflow and the outflow of
     the agents it is interested in and runs a scripted attack function.
 
@@ -691,6 +641,11 @@ class AttackerAgent:
       divert   - additionally takes known-dishonest rivals' forgeries
                  off the wire (the interference game)
     """
+
+    _moving = (("awareness", "copy"), ("knowledge", "part"),
+               ("bindings", "copy"), ("step_ptr", "value"),
+               ("engaged", "value"), ("hesitations", "copy"),
+               ("deferrals", "copy"))
 
     def __init__(self, name: str, interest: Sequence[str],
                  function: Optional[AttackFunction] = None,
@@ -906,25 +861,6 @@ class AttackerAgent:
                                NullMint(), self.name, 64)
             return ("Injection", body)
         return None
-
-    # -- marks --
-
-    def mark(self):
-        """What `rollback` needs to bring this attacker back: its
-        knowledge revision, attack-function position and rival opinions."""
-        return (self.knowledge.revision, dict(self.bindings), self.step_ptr,
-                self.engaged, set(self.hesitations), dict(self.deferrals),
-                dict(self.awareness))
-
-    def rollback(self, mark) -> None:
-        (revision, bindings, self.step_ptr, self.engaged, hesitations,
-         deferrals, awareness) = mark
-        self.knowledge.restore(revision)
-        self.bindings = dict(bindings)
-        self.hesitations = set(hesitations)
-        self.deferrals = dict(deferrals)
-        self.awareness = dict(awareness)
-
 
 class NullMint:
     """Attack and guardian templates never mint fresh protocol values:

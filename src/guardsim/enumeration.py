@@ -28,6 +28,8 @@ class EnumerationReport:
     fn_witnesses: List[Tuple[Tuple, str]] = field(default_factory=list)
     deceptions_detected: int = 0
     over_budget: int = 0   # leaves dropped when their run hit the budget
+    # judged leaves that spied more distinct terms than they may inject
+    capped: int = 0
 
 
 # only the first distinct spied terms are offered for injection
@@ -45,6 +47,9 @@ class ScriptedAttacker(AttackerAgent):
     simulator at each round whose menu grows, and files that mark under
     the options the round added: a run that takes one of them agrees
     with this run up to that round."""
+
+    _moving = (("spied_terms", "grows"), ("session_of", "copy"),
+               ("next_session", "value"))
 
     def __init__(self, name: str, interest, masks: Dict[str, str],
                  choices: Sequence[Tuple], knowledge=None):
@@ -67,16 +72,6 @@ class ScriptedAttacker(AttackerAgent):
         self.choices = list(choices)
         self.cursor = len(choices) - 1
         self.frontier = None
-
-    def mark(self):
-        return (super().mark(), len(self.spied_terms),
-                dict(self.session_of), self.next_session)
-
-    def rollback(self, mark) -> None:
-        base, spied, session_of, self.next_session = mark
-        super().rollback(base)
-        del self.spied_terms[spied:]
-        self.session_of = dict(session_of)
 
     def spy(self, env: Envelope, direction: str) -> None:
         super().spy(env, direction)
@@ -173,6 +168,7 @@ def enumerate_attacks(case, kind: str, max_choices: int = 8,
             report.over_budget += 1
             continue
         report.runs += 1
+        report.capped += len(scripted.spied_terms) > MAX_INJECT_TERMS
         outcome = evaluate(result, wiring.victim, True, case.success_extra)
         if outcome.false_negatives > 0:
             report.false_negatives += 1

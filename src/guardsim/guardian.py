@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from typing import (Callable, Collection, Dict, List, Optional, Sequence, Set,
                     Tuple, Union)
 
-from .agents import (AttackFunction, DrawMarks, EraseStep, InjectStep,
-                     NullMint, ObserveStep, Ref, instantiate, match)
+from .agents import (AttackFunction, EraseStep, InjectStep, NullMint,
+                     ObserveStep, Ref, instantiate, match)
+from .marks import DrawMarks, Marked
 from .network import Envelope, Erase, Inject, ResilientSignal, Slot
 from .terms import (Atom, Nonce, Term, render, wire_eq, wire_view,
                     subterms, SymEnc, AsymEnc, CommEnc)
@@ -51,7 +52,10 @@ class Distinguisher:
 
 
 @dataclass
-class StoreEntry:
+class StoreEntry(Marked):
+    _moving = (("labels", "copy"), ("last_rev", "value"),
+               ("sources", "copy"), ("p_rev", "value"))
+
     term: Term
     labels: Set[str]
     last_rev: int
@@ -59,12 +63,15 @@ class StoreEntry:
     p_rev: Optional[int] = None   # revision that first labelled it P
 
 
-class GuardianStore:
+class GuardianStore(Marked):
     """D_G with 'P' / 'critical' label subsets; deduplicates by wire
     equality (the guardian compares bitstrings) and tracks revisions for
     the temporal window.  `by_part` lists, under the wire view of each
     encryption component, the entries that hold it (an encryption is its
     own first component)."""
+
+    _moving = (("entries", "each"), ("by_part", "copies"),
+               ("revision", "value"))
 
     def __init__(self):
         self.entries: Dict[object, StoreEntry] = {}
@@ -98,23 +105,6 @@ class GuardianStore:
         return [StoreEntry(e.term, set(e.labels), e.last_rev, set(e.sources),
                            e.p_rev)
                 for e in self.entries.values()]
-
-    def mark(self):
-        """What `rollback` needs to bring D_G back: the entries, the part
-        index and the revision, with each entry's moving parts."""
-        return (dict(self.entries),
-                {part: list(held) for part, held in self.by_part.items()},
-                self.revision,
-                [(e, set(e.labels), e.last_rev, e.p_rev, set(e.sources))
-                 for e in self.entries.values()])
-
-    def rollback(self, mark) -> None:
-        entries, by_part, self.revision, moving = mark
-        self.entries = dict(entries)
-        self.by_part = {part: list(held) for part, held in by_part.items()}
-        for entry, labels, last_rev, p_rev, sources in moving:
-            entry.labels, entry.sources = set(labels), set(sources)
-            entry.last_rev, entry.p_rev = last_rev, p_rev
 
     def labeled_terms(self, label: str = "P") -> List[Term]:
         return [e.term for e in self.entries.values() if label in e.labels]
@@ -290,6 +280,9 @@ class Guardian(DrawMarks):
     """Runtime guardian bound to one simulation.  The simulator reseeds
     `rng`, which draws the fake values."""
 
+    _moving = (("store", "part"), ("module_log", "grows"),
+               ("pending", "copy"), ("deferred_abort", "value"))
+
     def __init__(self, name: str, filters: Sequence[GuardianFilter],
                  ident: Distinguisher, crit: Distinguisher,
                  invariant: InvariantSpec, plan: InterferencePlan,
@@ -433,24 +426,6 @@ class Guardian(DrawMarks):
             self.pending.pop(0)
         if isinstance(action, Inject):
             self.record_own(action.body, seq)
-
-    # -- marks --
-
-    def mark(self):
-        """What `rollback` needs to bring the guardian back: D_G, the
-        length of the module log, the plan queue, the deferred abort and
-        the state of the fake-value draws."""
-        return (self.store.mark(), len(self.module_log), list(self.pending),
-                self.deferred_abort, self.invariant_operative,
-                self.rng_mark())
-
-    def rollback(self, mark) -> None:
-        (store, log_length, pending, self.deferred_abort,
-         self.invariant_operative, rng) = mark
-        self.store.rollback(store)
-        del self.module_log[log_length:]
-        self.pending = list(pending)
-        self.rng_rollback(rng)
 
     # -- interference --
 

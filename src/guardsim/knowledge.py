@@ -63,6 +63,8 @@ class KnowledgeSet:
         self._items.difference_update(*self._log[revision:])
         del self._log[revision:]
 
+    mark, rollback = revision.fget, restore   # a mark is a revision
+
 
 def analyze_terms(items: Iterable[Term]) -> frozenset:
     """Decomposition fixpoint of a term set.

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from .marks import Marked
 from .terms import Term, wire_view
 from .topology import ConfigError, Topology
 
@@ -35,7 +36,10 @@ class Slot:
 
 
 @dataclass
-class Envelope:
+class Envelope(Marked):
+    _moving = (("observers", "grows"), ("sender_credits", "copy"),
+               ("capture_credits", "copy"))
+
     seq: int
     claimed_sender: str
     body: Term
@@ -108,10 +112,13 @@ class NetEvent:
     cause: object = None             # the applied Erase or ResilientSignal
 
 
-class NetworkState:
+class NetworkState(Marked):
     """D_net: the pending envelopes and the run's append-only action
     record.  `enter` records what goes on the wire; the presentation
     trace, which shares `history`, records each fate and signal."""
+
+    _moving = (("pending", "copy each"), ("history", "grows"),
+               ("_next_seq", "value"))
 
     def __init__(self, topology: Topology):
         self.topology = topology
@@ -130,27 +137,6 @@ class NetworkState:
 
     def remove(self, seq: int) -> Envelope:
         return self.pending.pop(seq)
-
-    def mark(self):
-        """What `rollback` needs to bring this state back: the pending
-        envelopes with the observers and credits they carry, the next
-        seq and the length of the append-only history."""
-        return (dict(self.pending), self._next_seq, len(self.history),
-                [(env, len(env.observers), set(env.sender_credits),
-                  set(env.capture_credits))
-                 for env in self.pending.values()])
-
-    def rollback(self, mark) -> None:
-        """Restore the state `mark` was taken at.  The history since is
-        dropped, so the mark must lie on this state's own past."""
-        pending, self._next_seq, length, envelopes = mark
-        self.pending.clear()
-        self.pending.update(pending)
-        del self.history[length:]
-        for env, observers, sender_credits, capture_credits in envelopes:
-            del env.observers[observers:]
-            env.sender_credits = set(sender_credits)
-            env.capture_credits = set(capture_credits)
 
     def replay_check(self) -> Dict[int, Tuple[str, Term, str]]:
         """Re-derive the pending set from history; used to assert the

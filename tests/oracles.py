@@ -194,6 +194,7 @@ def replay_enumerate(case, kind: str, max_choices: int = 8,
         if result is None:
             continue
         report.runs += 1
+        report.capped += len(scripted.spied_terms) > MAX_INJECT_TERMS
         outcome = evaluate(result, victim, True, case.success_extra)
         if outcome.false_negatives > 0:
             report.false_negatives += 1

@@ -10,7 +10,7 @@ import pytest
 
 from guardsim.cases import (DOMINANCE, MUTUAL_UNCERTAINTY, NONE_SUCCEED,
                             enumerate_interaction_cases)
-from guardsim.enumeration import enumerate_attacks
+from guardsim.enumeration import MAX_INJECT_TERMS, enumerate_attacks
 from guardsim.matrix import defense_matrix
 from guardsim.montecarlo import monte_carlo_fp
 from guardsim.protocols import builtin
@@ -126,7 +126,11 @@ def test_criterion_6_fn_impossibility():
     report(6, ok, f"erase/inject enumeration: iso {iso.runs} runs 0 FN "
                   f"({iso_time:.1f}s), eke {eke.runs} runs 0 FN, "
                   f"otway-rees {otway.runs} runs 0 FN, "
-                  f"{over_budget} leaves over the round budget")
+                  f"{over_budget} leaves over the round budget; leaves "
+                  f"that spied more terms than the {MAX_INJECT_TERMS} "
+                  f"offered: iso {iso.capped}/{iso.runs}, eke "
+                  f"{eke.capped}/{eke.runs}, otway-rees "
+                  f"{otway.capped}/{otway.runs}")
 
 
 TABLE_7 = {
