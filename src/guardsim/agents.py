@@ -99,6 +99,11 @@ class PBind:
     name: str
     kind: str = "any"
 
+    def __post_init__(self):
+        if self.kind not in KIND_CHECKS:
+            raise ValueError(f"PBind {self.name!r} has unknown kind "
+                             f"{self.kind!r}; known: {', '.join(KIND_CHECKS)}")
+
 
 @dataclass(frozen=True)
 class PPair:
@@ -112,60 +117,54 @@ def match(pattern, term: Term, bindings: Dict[str, Term]) -> Optional[Dict[str, 
     """Match `term` against `pattern`, extending a copy of `bindings`;
     None on mismatch.  Value comparisons (constants, back-references,
     successor checks) are wire-level -- agents compare received bits, so
-    a colliding value passes even if its symbolic kind differs."""
-    if isinstance(pattern, Const):
-        return dict(bindings) if wire_eq(term, pattern.term) else None
-    if isinstance(pattern, Ref):
-        bound = bindings.get(pattern.name)
-        return dict(bindings) if bound is not None and wire_eq(term, bound) \
-            else None
-    if isinstance(pattern, PBind):
+    a colliding value passes even if its symbolic kind differs.  Nodes
+    dispatch on their exact type, the most common first."""
+    cls = type(pattern)
+    if cls is PBind:
         if not KIND_CHECKS[pattern.kind](term):
             return None
         out = dict(bindings)
         out[pattern.name] = term
         return out
-    if isinstance(pattern, Seq):
+    if cls is Seq:
         items = pair_items(term)
         if len(items) != len(pattern.items):
             return None
         out = dict(bindings)
         for pat, sub in zip(pattern.items, items):
-            nxt = match(pat, sub, out)
-            if nxt is None:
+            out = match(pat, sub, out)
+            if out is None:
                 return None
-            out = nxt
         return out
-    if isinstance(pattern, PPair):
-        if not isinstance(term, Pair):
+    if cls is Ref:
+        bound = bindings.get(pattern.name)
+        return dict(bindings) if bound is not None and wire_eq(term, bound) \
+            else None
+    if cls is Const:
+        return dict(bindings) if wire_eq(term, pattern.term) else None
+    if cls is Enc or cls is AEnc:
+        if type(term) is not (SymEnc if cls is Enc else AsymEnc):
+            return None
+        out = match(pattern.key, term.key, bindings)
+        if out is None:
+            return None
+        return match(pattern.payload, term.payload, out)
+    if cls is PPair:
+        if type(term) is not Pair:
             return None
         out = match(pattern.left, term.left, bindings)
         if out is None:
             return None
         return match(pattern.right, term.right, out)
-    if isinstance(pattern, Enc):
-        if not isinstance(term, SymEnc):
-            return None
-        out = match(pattern.key, term.key, bindings)
-        if out is None:
-            return None
-        return match(pattern.payload, term.payload, out)
-    if isinstance(pattern, AEnc):
-        if not isinstance(term, AsymEnc):
-            return None
-        out = match(pattern.key, term.key, bindings)
-        if out is None:
-            return None
-        return match(pattern.payload, term.payload, out)
-    if isinstance(pattern, Inc):
-        if isinstance(term, Succ) and term.offset == pattern.offset:
+    if cls is Inc:
+        if type(term) is Succ and term.offset == pattern.offset:
             return match(pattern.base, term.base, bindings)
         # wire fallback: a bare value equal to base+offset passes the
         # increment check (bits are bits)
         expected = None
-        if isinstance(pattern.base, Ref):
+        if type(pattern.base) is Ref:
             expected = bindings.get(pattern.base.name)
-        elif isinstance(pattern.base, Const):
+        elif type(pattern.base) is Const:
             expected = pattern.base.term
         if expected is not None and wire_eq(term, succ(expected, pattern.offset)):
             return dict(bindings)

@@ -36,7 +36,7 @@ from .agents import (AttackFunction, EraseStep, InjectStep, NullMint,
 from .marks import DrawMarks, Marked
 from .network import Envelope, Erase, Inject, ResilientSignal, Slot
 from .terms import (Atom, Nonce, Term, render, wire_eq, wire_view,
-                    subterms, SymEnc, AsymEnc, CommEnc)
+                    subterms, SymEnc, AsymEnc, CommEnc, LEAF_TYPES)
 from .topology import Topology
 
 
@@ -47,8 +47,10 @@ class Distinguisher:
     rules: Sequence[object]
 
     def __call__(self, m: Term) -> int:
-        return 1 if any(match(rule, m, {}) is not None
-                        for rule in self.rules) else 0
+        for rule in self.rules:
+            if match(rule, m, {}) is not None:
+                return 1
+        return 0
 
 
 @dataclass
@@ -87,8 +89,9 @@ class GuardianStore(Marked):
             entry = StoreEntry(term=term, labels=set(labels),
                                last_rev=self.revision)
             self.entries[key] = entry
-            for part in {wire_view(c) for c in _enc_components(term)}:
-                self.by_part.setdefault(part, []).append(entry)
+            if not isinstance(term, LEAF_TYPES):   # a leaf has no components
+                for part in {wire_view(c) for c in _enc_components(term)}:
+                    self.by_part.setdefault(part, []).append(entry)
         else:
             entry.labels |= labels
             entry.last_rev = self.revision
@@ -121,13 +124,31 @@ def _enc_components(term: Term) -> List[Term]:
             if isinstance(t, (SymEnc, AsymEnc, CommEnc))]
 
 
+INVARIANTS = ("replay-equality", "windowed-freshness", "cross-request-mismatch")
+
+
 @dataclass
 class InvariantSpec:
     """Named attack invariant Inv(m, i), evaluated read-only over the
     labelled dataset restricted to revisions before the current message
-    (and inside the window when one is configured)."""
+    (and inside the window when one is configured).  The name and params
+    are checked at construction, which also works out the `kind` the
+    invariant is judged by: its name, or "replay-component" for
+    replay-equality with the "component" param set."""
     name: str
     params: Dict[str, object] = field(default_factory=dict)
+    kind: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.name not in INVARIANTS:
+            raise ValueError(f"unknown invariant {self.name!r}; known: "
+                             f"{', '.join(INVARIANTS)}")
+        if (self.name == "cross-request-mismatch"
+                and "request_pattern" not in self.params):
+            raise ValueError("invariant 'cross-request-mismatch' needs a "
+                             "'request_pattern' param")
+        self.kind = ("replay-component" if self.name == "replay-equality"
+                     and self.params.get("component") else self.name)
 
     def candidates(self, m: Term, store: GuardianStore
                    ) -> Collection[StoreEntry]:
@@ -137,10 +158,11 @@ class InvariantSpec:
         encryption components' views, is that of one of `m`'s encryption
         components (of `m` itself when it has none); all of them
         otherwise."""
-        if self.name == "replay-equality" and not self.params.get("component"):
+        kind = self.kind
+        if kind == "replay-equality":
             entry = store.entries.get(wire_view(m))
-            return [entry] if entry is not None else []
-        if self.name in ("replay-equality", "windowed-freshness"):
+            return () if entry is None else (entry,)
+        if kind != "cross-request-mismatch":
             found: Dict[int, StoreEntry] = {}
             for part in _enc_components(m) or [m]:
                 view = wire_view(part)
@@ -154,23 +176,26 @@ class InvariantSpec:
     def evaluate(self, m: Term, entries: Collection[StoreEntry],
                  delta_c: Distinguisher, window: Optional[int],
                  current_rev: int) -> int:
+        kind = self.kind
+        if not entries:
+            return 1 if kind == "windowed-freshness" else 0
         visible = [e for e in entries if "P" in e.labels]
         if window is not None:
             visible = [e for e in visible if e.last_rev > current_rev - window]
-        if self.name == "replay-equality":
-            component = bool(self.params.get("component"))
+        if kind == "replay-equality":
             for e in visible:
-                if not component:
-                    if delta_c(e.term) == 1 and wire_eq(e.term, m):
-                        return 1
-                else:
-                    m_parts = _enc_components(m) or [m]
-                    prior = {wire_view(c) for c in _enc_components(e.term)}
-                    prior.add(wire_view(e.term))
-                    if any(wire_view(p) in prior for p in m_parts):
-                        return 1
+                if delta_c(e.term) == 1 and wire_eq(e.term, m):
+                    return 1
             return 0
-        if self.name == "windowed-freshness":
+        if kind == "replay-component":
+            for e in visible:
+                m_parts = _enc_components(m) or [m]
+                prior = {wire_view(c) for c in _enc_components(e.term)}
+                prior.add(wire_view(e.term))
+                if any(wire_view(p) in prior for p in m_parts):
+                    return 1
+            return 0
+        if kind == "windowed-freshness":
             # An inbound critical message is an attack unless it was part
             # of something the watched source emitted within the window.
             source = self.params.get("source")
@@ -183,21 +208,20 @@ class InvariantSpec:
                 if all(wire_view(p) in parts for p in m_parts):
                     return 0
             return 1
-        if self.name == "cross-request-mismatch":
-            req = self.params["request_pattern"]    # binds p, q
-            got = match(req, m, {})
-            if got is None:
-                return 0
-            p, q = got["p"], got["q"]
-            for e in visible:
-                prior = match(req, e.term, {})
-                if prior is None or wire_eq(e.term, m):
-                    continue
-                # someone (prior p) asked about current requester p ...
-                if prior["q"] == p and prior["p"] != q:
-                    return 1
+        # cross-request-mismatch
+        req = self.params["request_pattern"]    # binds p, q
+        got = match(req, m, {})
+        if got is None:
             return 0
-        raise ValueError(f"unknown invariant {self.name!r}")
+        p, q = got["p"], got["q"]
+        for e in visible:
+            prior = match(req, e.term, {})
+            if prior is None or wire_eq(e.term, m):
+                continue
+            # someone (prior p) asked about current requester p ...
+            if prior["q"] == p and prior["p"] != q:
+                return 1
+        return 0
 
 
 @dataclass

@@ -10,7 +10,7 @@ analysis measures.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from typing import Iterator, Tuple, Union
 
 
@@ -43,7 +43,10 @@ class _Kept:
 
 def _term(cls):
     """A frozen, slotted dataclass whose kept hash is the dataclass hash of
-    the compared fields, so sets iterate as they would without the cache."""
+    the compared fields, so sets iterate as they would without the cache.
+    Its `__init__` has the dataclass one's signature but fills each slot
+    through the slot's own descriptor, which costs less than the
+    `object.__setattr__` call per field that a frozen dataclass makes."""
     cls = dataclass(frozen=True, slots=True)(cls)
     # _Kept's __setattr__ and __delattr__ stand in for dataclass's, which,
     # like 3.10's leftover __weakref__, keep the class it replaced alive
@@ -51,6 +54,22 @@ def _term(cls):
                                     "__weakref__"}:
         delattr(cls, name)
     cls._fields_hash, cls.__hash__ = cls.__hash__, _Kept.__hash__
+    # the fields dataclass's __init__ sets: the init ones, and the others'
+    # defaults (a composite's `_wire = None`)
+    filled = [f for f in fields(cls) if f.init or f.default is not MISSING]
+    env = {"__name__": cls.__module__}
+    for f in filled:
+        env["_s_" + f.name] = vars(cls)[f.name].__set__
+        env["_d_" + f.name] = f.default
+    params = "".join(f", {f.name}" if f.default is MISSING
+                     else f", {f.name}=_d_{f.name}" for f in filled if f.init)
+    exec(f"def __init__(self{params}):\n" + "".join(
+        f"    _s_{f.name}(self, {f.name if f.init else '_d_' + f.name})\n"
+        for f in filled), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = cls.__init__.__annotations__
+    cls.__init__ = init
     return cls
 
 

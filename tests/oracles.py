@@ -24,11 +24,17 @@ before it forked: every leaf wired afresh and replayed from round 0.
 
 `options` is a scripted attacker's option menu listed in full, as
 `ScriptedAttacker` built and scanned it every round before it kept only
-the counts of what its frontier holds."""
+the counts of what its frontier holds.
+
+`match` is the pattern matcher as `agents.match` was written before it
+dispatched on the node's exact type: an `isinstance` chain in the order
+the node kinds are declared."""
 
 from itertools import combinations
 from typing import Dict, List, Sequence, Set, Tuple
 
+from guardsim.agents import (AEnc, Const, Enc, Inc, KIND_CHECKS, PBind,
+                             PPair, Ref, Seq)
 from guardsim.enumeration import (EnumerationReport, MAX_INJECT_TERMS,
                                   ScriptedAttacker)
 from guardsim.knowledge import KnowledgeSet
@@ -37,7 +43,8 @@ from guardsim.simulator import BudgetExceeded
 from guardsim.terms import (AgentId, AsymEnc, AsymKey, Atom, CommEnc,
                             Lifetime, Nonce, Pair, Password, Succ, SymEnc,
                             SymKey, TermError, Timestamp, comm_enc,
-                            comm_strip, inverse_key, subterms, KEY_TYPES)
+                            comm_strip, inverse_key, pair_items, subterms,
+                            succ, wire_eq, KEY_TYPES)
 
 
 def candidate_universe(knowledge, goal):
@@ -243,3 +250,66 @@ def options(attacker: ScriptedAttacker, pending) -> List[Tuple]:
         for receiver in sorted(attacker.masks):
             opts.append(("inject", j, receiver))
     return opts
+
+
+def match(pattern, term, bindings):
+    """`term` matched against `pattern`, extending a copy of `bindings`;
+    None on mismatch."""
+    if isinstance(pattern, Const):
+        return dict(bindings) if wire_eq(term, pattern.term) else None
+    if isinstance(pattern, Ref):
+        bound = bindings.get(pattern.name)
+        return dict(bindings) if bound is not None and wire_eq(term, bound) \
+            else None
+    if isinstance(pattern, PBind):
+        if not KIND_CHECKS[pattern.kind](term):
+            return None
+        out = dict(bindings)
+        out[pattern.name] = term
+        return out
+    if isinstance(pattern, Seq):
+        items = pair_items(term)
+        if len(items) != len(pattern.items):
+            return None
+        out = dict(bindings)
+        for pat, sub in zip(pattern.items, items):
+            nxt = match(pat, sub, out)
+            if nxt is None:
+                return None
+            out = nxt
+        return out
+    if isinstance(pattern, PPair):
+        if not isinstance(term, Pair):
+            return None
+        out = match(pattern.left, term.left, bindings)
+        if out is None:
+            return None
+        return match(pattern.right, term.right, out)
+    if isinstance(pattern, Enc):
+        if not isinstance(term, SymEnc):
+            return None
+        out = match(pattern.key, term.key, bindings)
+        if out is None:
+            return None
+        return match(pattern.payload, term.payload, out)
+    if isinstance(pattern, AEnc):
+        if not isinstance(term, AsymEnc):
+            return None
+        out = match(pattern.key, term.key, bindings)
+        if out is None:
+            return None
+        return match(pattern.payload, term.payload, out)
+    if isinstance(pattern, Inc):
+        if isinstance(term, Succ) and term.offset == pattern.offset:
+            return match(pattern.base, term.base, bindings)
+        # wire fallback: a bare value equal to base+offset passes
+        expected = None
+        if isinstance(pattern.base, Ref):
+            expected = bindings.get(pattern.base.name)
+        elif isinstance(pattern.base, Const):
+            expected = pattern.base.term
+        if expected is not None and wire_eq(term,
+                                            succ(expected, pattern.offset)):
+            return dict(bindings)
+        return None
+    raise TypeError(f"not a pattern: {pattern!r}")

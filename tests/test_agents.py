@@ -18,7 +18,10 @@ from guardsim.network import Envelope, Slot
 from guardsim.protocols import iso_sc27
 from guardsim.protocols.iso_sc27 import classic_attack, make_attacker
 from guardsim.terms import (AgentId, Atom, AsymEnc, AsymKey, Nonce, Pair,
-                            Succ, SymEnc, SymKey, pair, succ, wire_view)
+                            Succ, SymEnc, SymKey, comm_enc, pair, pair_items,
+                            succ, wire_view)
+
+import oracles
 
 K = SymKey(value=1, label="K_AB")
 NA = Nonce(value=10, label="N_A")
@@ -92,6 +95,144 @@ def test_ppair_does_not_flatten():
     assert got is not None
     assert got["rest"] == Pair(NB, Atom(value=5))
     assert match(seq(PBind("a", "any"), PBind("b", "any")), triple, {}) is None
+
+
+def test_pbind_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="'bogus'.*known: any, nonce"):
+        PBind("x", "bogus")
+
+
+# -- match against the isinstance-chain oracle -------------------------------
+
+def same_match(pattern, term, bindings):
+    """`match` and the oracle agree: both raise the same error, or both
+    give None, or both bind every name to the same subterm."""
+    got = []
+    for matcher in (match, oracles.match):
+        try:
+            got.append(matcher(pattern, term, dict(bindings)))
+        except TypeError as exc:
+            got.append(TypeError(str(exc)))
+    ours, theirs = got
+    if isinstance(ours, TypeError) or isinstance(theirs, TypeError):
+        assert type(ours) is type(theirs) and str(ours) == str(theirs)
+    elif ours is None or theirs is None:
+        assert ours is theirs
+    else:
+        assert ours.keys() == theirs.keys()
+        assert all(ours[name] is theirs[name] for name in ours)
+    return ours
+
+
+NAMES = ("x", "y", "z")
+M_VALUES = st.integers(0, 3)
+M_LEAVES = st.one_of(
+    st.builds(Nonce, M_VALUES), st.builds(SymKey, M_VALUES),
+    st.builds(Atom, M_VALUES), st.builds(AsymKey, M_VALUES, st.booleans()),
+    st.builds(AgentId, st.sampled_from(["A", "B"])))
+M_TERMS = st.recursive(
+    M_LEAVES,
+    lambda t: st.one_of(
+        st.builds(Pair, t, t), st.builds(SymEnc, t, t),
+        st.builds(AsymEnc, t, t), st.builds(succ, t, st.integers(1, 2)),
+        st.builds(comm_enc, t, st.lists(st.builds(SymKey, M_VALUES),
+                                        min_size=1, max_size=2))),
+    max_leaves=6)
+
+
+@st.composite
+def pattern_for(draw, term, depth=3):
+    """A pattern of any node kind, drawn to fit `term` more often than not:
+    its own shape, its own value, or a name that may be bound earlier."""
+    leaf = st.one_of(
+        st.builds(PBind, st.sampled_from(NAMES)),
+        st.builds(PBind, st.sampled_from(NAMES),
+                  st.sampled_from(sorted(KIND_CHECKS))),
+        st.builds(Const, st.just(term)),
+        st.builds(Const, M_TERMS),
+        st.builds(Ref, st.sampled_from(NAMES)))
+    kinds = ["leaf"] * 4 + ["inc", "other"]
+    if depth:
+        kinds += {Pair: ["ppair", "seq"], SymEnc: ["enc", "aenc"],
+                  AsymEnc: ["aenc", "enc"], Succ: ["inc"]}.get(type(term),
+                                                                []) * 3
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf" or not depth:
+        return draw(leaf)
+    sub = lambda t: draw(pattern_for(t, depth - 1))
+    if kind == "ppair":
+        return PPair(sub(term.left), sub(term.right))
+    if kind == "seq":
+        items = [sub(t) for t in pair_items(term)]
+        cut = draw(st.sampled_from([0, 0, -1, 1]))   # exact, short, long
+        return Seq(tuple(items[:cut] if cut < 0 else items + [draw(leaf)] * cut))
+    if kind in ("enc", "aenc"):
+        node = Enc if kind == "enc" else AEnc
+        if isinstance(term, (SymEnc, AsymEnc)):
+            return node(sub(term.payload), sub(term.key))
+        return node(draw(leaf), draw(leaf))
+    if kind == "inc":
+        offset = draw(st.integers(1, 2))
+        if isinstance(term, Succ):
+            return Inc(sub(term.base), draw(st.sampled_from([term.offset,
+                                                             offset])))
+        base = draw(st.one_of(leaf, st.builds(Const, st.just(
+            Nonce(value=max(wire_view(term)[1] - offset, 0)))
+            if wire_view(term)[0] == "leaf" else M_TERMS)))
+        return Inc(base, offset)
+    return draw(pattern_for(draw(M_TERMS), depth - 1))   # any node, any term
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_match_agrees_with_the_isinstance_oracle(data):
+    term = data.draw(st.one_of(M_TERMS, st.builds(pair, M_TERMS, M_TERMS,
+                                                  M_TERMS)))
+    pattern = data.draw(pattern_for(term))
+    bindings = data.draw(st.dictionaries(st.sampled_from(NAMES), M_TERMS,
+                                         max_size=2))
+    same_match(pattern, term, bindings)
+
+
+NX = Nonce(value=5)
+MATCH_CASES = {
+    "inc-wire-fallback-ref": (Inc(Ref("n"), 2), Nonce(value=7), {"n": NX},
+                              True),
+    "inc-wire-fallback-const": (Inc(Const(NX), 1), SymKey(value=6), {}, True),
+    "inc-wire-fallback-miss": (Inc(Ref("n"), 2), Nonce(value=8), {"n": NX},
+                               False),
+    "inc-unbound-base": (Inc(PBind("n"), 1), Nonce(value=6), {}, False),
+    "ppair": (PPair(PBind("a", "nonce"), PBind("b", "any")),
+              pair(NX, NA, NB), {}, True),
+    "ppair-back-ref": (PPair(PBind("a", "nonce"), Ref("a")),
+                       Pair(NX, SymKey(value=5)), {}, True),
+    "ppair-on-a-leaf": (PPair(PBind("a"), PBind("b")), NX, {}, False),
+    "seq-length-mismatch": (seq(PBind("a"), PBind("b")), pair(NX, NA, NB),
+                            {}, False),
+    "seq-exact": (seq(PBind("a"), PBind("b"), Const(NB)), pair(NX, NA, NB),
+                  {}, True),
+    "back-ref-bound-earlier": (seq(PBind("a", "nonce"), Ref("a")),
+                               pair(NX, SymKey(value=5)), {}, True),
+    "back-ref-mismatch": (seq(PBind("a", "nonce"), Ref("a")),
+                          pair(NX, NA), {}, False),
+    "enc-vs-asym": (Enc(PBind("p"), PBind("k")),
+                    AsymEnc(NX, AsymKey(pair_id=1)), {}, False),
+    "aenc": (AEnc(PBind("p"), Const(AsymKey(pair_id=1))),
+             AsymEnc(NX, AsymKey(pair_id=1)), {}, True),
+}
+
+
+@pytest.mark.parametrize("pattern,term,bindings,matches",
+                         MATCH_CASES.values(), ids=MATCH_CASES.keys())
+def test_match_cases_agree_with_the_oracle(pattern, term, bindings, matches):
+    assert (same_match(pattern, term, bindings) is not None) == matches
+
+
+def test_match_rejects_a_template_node_like_the_oracle():
+    for pattern in (TFresh("n"), seq(PBind("a"), TFresh("n"))):
+        with pytest.raises(TypeError, match="not a pattern: TFresh"):
+            match(pattern, pair(NX, NA), {})
+        same_match(pattern, pair(NX, NA), {})
 
 
 def test_reinterpret_names_junk_decryptions():

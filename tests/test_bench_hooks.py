@@ -57,3 +57,23 @@ def test_tracer_spans_the_analysis_inside_derivable():
     spans = [tracer.names[i] for i in tracer.nids]
     assert spans.count("knowledge.analyze_terms") == 1
     assert tracer.items_in == len(ks) == 3
+
+
+def test_tracer_counts_the_monte_carlo_read_path():
+    """One batch of the benchmark's fp workload: each trial is one
+    invariant evaluation over at most one candidate, and each hit runs
+    the criticality distinguisher once more, on the stored entry."""
+    from guardsim.montecarlo import monte_carlo_fp
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        est = monte_carlo_fp(nonce_bits=12, dataset_size=256, trials=1500,
+                             seed=1)
+    finally:
+        tracer.uninstall()
+    spans = [tracer.names[i] for i in tracer.nids]
+    assert spans.count("guardian.InvariantSpec.evaluate") == 1500
+    assert spans.count("guardian.Distinguisher.call") == 1500 + est.hits \
+        == 1596
+    assert tracer.entries_scanned == est.hits == 96

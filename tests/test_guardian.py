@@ -141,6 +141,40 @@ def test_send_fake_with_nothing_to_send_refused():
         SendFake(mask="A")
 
 
+def test_unknown_invariant_refused_when_written():
+    # a typo is refused at construction, not at the first critical message
+    with pytest.raises(ValueError, match="'bogus'.*known: replay-equality, "
+                                         "windowed-freshness, "
+                                         "cross-request-mismatch"):
+        InvariantSpec("bogus")
+
+
+def test_cross_request_invariant_needs_its_request_pattern():
+    with pytest.raises(ValueError, match="'request_pattern'"):
+        InvariantSpec("cross-request-mismatch")
+    with pytest.raises(ValueError, match="'request_pattern'"):
+        InvariantSpec("cross-request-mismatch", params={"pattern": None})
+
+
+EMPTY_VERDICTS = [
+    ("replay-equality", {}, 0),
+    ("replay-equality", {"component": True}, 0),
+    ("windowed-freshness", {}, 1),
+    ("cross-request-mismatch",
+     {"request_pattern": seq(PBind("p"), PBind("q"))}, 0),
+]
+
+
+@pytest.mark.parametrize("name,params,verdict", EMPTY_VERDICTS)
+def test_invariant_over_an_empty_dataset(name, params, verdict):
+    spec = InvariantSpec(name, params=params)
+    m = Pair(NA, Nonce(value=11))
+    entries = spec.candidates(m, GuardianStore())
+    assert len(entries) == 0
+    assert spec.evaluate(m, entries, Distinguisher(rules=(PBind("x"),)),
+                         None, 1) == verdict
+
+
 def test_topological_advantage_examples():
     topo_a = base_topology("A", honest=("A", "B"))
     topo_b = base_topology("B", honest=("A", "B"))

@@ -4,6 +4,7 @@ wire views and hashes that terms keep."""
 import copy
 import dataclasses
 import gc
+import inspect
 import os
 import pickle
 import subprocess
@@ -166,6 +167,55 @@ def test_relabelled_terms_share_hash_and_wire_view(t, label):
     assert other == t
     assert hash(other) == hash(t)
     assert wire_view(other) == wire_view(t)
+
+
+# one instance of each of the 13 term classes, by its init arguments
+EXAMPLES = {
+    Atom: (4, "M"), AgentId: ("A",), Nonce: (10, 8, "N_A"),
+    SymKey: (1, "K_AB"), AsymKey: (2, True, "K_B"), Password: (3, "P_A"),
+    Pair: (NA, NB), SymEnc: (NA, K), AsymEnc: (NA, AsymKey(2)),
+    CommEnc: (NA, (K, SymKey(5))), Succ: (NA, 2), Timestamp: (7, "T_A"),
+    Lifetime: (9, "L"),
+}
+
+
+def dataclass_twin(cls):
+    """A plain frozen dataclass with `cls`'s fields, whose `__init__` is
+    the one `dataclasses` generates."""
+    spec = [(f.name, f.type, dataclasses.field(default=f.default,
+                                                init=f.init))
+            for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+
+
+def test_examples_cover_every_term_class():
+    assert set(EXAMPLES) == set(terms.Term.__args__)
+
+
+@pytest.mark.parametrize("cls", EXAMPLES, ids=lambda c: c.__name__)
+def test_constructor_keeps_the_dataclass_signature(cls):
+    twin = dataclass_twin(cls)
+    assert inspect.signature(cls.__init__) == inspect.signature(twin.__init__)
+    assert inspect.signature(cls) == inspect.signature(twin)
+
+
+@pytest.mark.parametrize("cls", EXAMPLES, ids=lambda c: c.__name__)
+def test_constructor_fills_every_slot(cls):
+    args = EXAMPLES[cls]
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    positional, keyword = cls(*args), cls(**dict(zip(names, args)))
+    assert positional == keyword and hash(positional) == hash(keyword)
+    assert [getattr(keyword, n) for n in names] == list(args)
+    assert positional._wire is None   # a composite's view is not kept yet
+    if "_wire" in {f.name for f in dataclasses.fields(cls)}:
+        wire_view(positional)
+        assert positional._wire == oracles.wire_view(positional)
+    for name in names + ["_wire"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(positional, name, getattr(positional, name))
+    assert dataclasses.replace(keyword) == keyword
+    assert copy.copy(keyword) == keyword
+    assert pickle.loads(pickle.dumps(keyword)) == keyword
 
 
 def test_cached_fields_are_not_compared_or_shown():
