@@ -358,6 +358,19 @@ def _walk(node, path, open_, found, binds) -> None:
         _walk(node.base, path, False, found, binds)
 
 
+def _names(node) -> Set[str]:
+    """The names a node of the shared language binds or reads."""
+    if isinstance(node, (PBind, Ref)):
+        return {node.name}
+    if isinstance(node, Seq):
+        parts = node.items
+    elif type(node) in _BRANCHES:
+        parts = [getattr(node, attr) for attr in _BRANCHES[type(node)][1]]
+    else:
+        parts = [node.base] if isinstance(node, Inc) else []
+    return set().union(*map(_names, parts))
+
+
 def _follow(term: Term, path) -> Optional[Term]:
     """The subterm of `term` at an anchor path, or None where `match`
     would reject `term` on the way (same type and item-count checks)."""
@@ -845,9 +858,21 @@ class AttackerAgent(Marked):
     def _render_body(self, step: InjectStep) -> Term:
         return instantiate(step.body, self.bindings, NullMint(), self.name, 64)
 
+    def capture_of(self, s: int):
+        """The last `EraseStep` or `ObserveStep` before inject step s that
+        binds, by its `bind` or a `PBind` of its pattern, a name the
+        step's body reads.  None for a body that reads no capture and
+        replays what the attacker held before the run."""
+        reads = _names(self.function.steps[s - 1].body)
+        return next((step for step in reversed(self.function.steps[:s - 1])
+                     if isinstance(step, (EraseStep, ObserveStep))
+                     and reads & (_names(step.pattern) | {step.bind})), None)
+
     def attack_step(self, spied: Term, s: int):
-        """The attack function at step s applied to a spied message:
-        the proposal it yields, or None on pattern mismatch."""
+        """The attack function at step s applied to a spied message: an
+        erase step's ("Erase", None), or an inject step's ("Injection",
+        body) rendered as if its capture step had taken `spied`; None on
+        a pattern mismatch."""
         if not self.function or s < 1 or s > len(self.function.steps):
             return None
         step = self.function.steps[s - 1]
@@ -856,9 +881,15 @@ class AttackerAgent(Marked):
                 return None
             return ("Erase", None)
         if isinstance(step, InjectStep):
-            body = instantiate(step.body, dict(self.bindings, m=spied),
-                               NullMint(), self.name, 64)
-            return ("Injection", body)
+            bound, capture = self.bindings, self.capture_of(s)
+            if capture is not None:
+                bound = match(capture.pattern, spied, bound)
+                if bound is None:
+                    return None
+                if capture.bind:
+                    bound[capture.bind] = spied
+            return ("Injection", instantiate(step.body, bound, NullMint(),
+                                             self.name, 64))
         return None
 
 class NullMint:

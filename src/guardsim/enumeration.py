@@ -28,12 +28,6 @@ class EnumerationReport:
     fn_witnesses: List[Tuple[Tuple, str]] = field(default_factory=list)
     deceptions_detected: int = 0
     over_budget: int = 0   # leaves dropped when their run hit the budget
-    # judged leaves that spied more distinct terms than they may inject
-    capped: int = 0
-
-
-# only the first distinct spied terms are offered for injection
-MAX_INJECT_TERMS = 6
 
 
 class ScriptedAttacker(AttackerAgent):
@@ -105,7 +99,7 @@ class ScriptedAttacker(AttackerAgent):
         """The next scripted move; the attack-function machinery (rival
         takedowns, deferrals, hesitation) does not apply."""
         visible = self._visible(pending)
-        injectable = min(len(self.spied_terms), MAX_INJECT_TERMS)
+        injectable = len(self.spied_terms)
         if self.cursor >= len(self.choices):
             # accumulate every option that becomes available once the
             # script has run out: each is a candidate next move
@@ -168,7 +162,6 @@ def enumerate_attacks(case, kind: str, max_choices: int = 8,
             report.over_budget += 1
             continue
         report.runs += 1
-        report.capped += len(scripted.spied_terms) > MAX_INJECT_TERMS
         outcome = evaluate(result, wiring.victim, True, case.success_extra)
         if outcome.false_negatives > 0:
             report.false_negatives += 1

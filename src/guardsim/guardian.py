@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import (Callable, Collection, Dict, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (Collection, Dict, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
-from .agents import (AttackFunction, EraseStep, InjectStep, NullMint,
-                     ObserveStep, Ref, instantiate, match)
+from .agents import InjectStep, NullMint, instantiate, match
 from .marks import DrawMarks, Marked
 from .network import Envelope, Erase, Inject, ResilientSignal, Slot
 from .terms import (Atom, Nonce, Term, render, wire_eq, wire_view,
@@ -539,43 +538,50 @@ def topological_advantage(topology: Topology, guardian: str, defended: str,
     return True
 
 
-def verify_inverse(attack: AttackFunction,
-                   inverse_table: Optional[Dict[int, Callable[[Term], Term]]] = None,
-                   samples: Optional[Dict[int, Tuple[Term, Term]]] = None):
-    """Mechanical Theorem-1 checklist over the attack table: every
-    injection step must have a known inverse recovering the original.
-
-    Replay injections (body is a direct reference to a captured message)
-    are self-inverse.  Returns True / False / "unknown"."""
-    inverse_table = inverse_table or {}
-    captured = set()
-    ok = True
-    for idx, step in enumerate(attack.steps, start=1):
-        if isinstance(step, (EraseStep, ObserveStep)) and step.bind:
-            captured.add(step.bind)
-        if isinstance(step, InjectStep):
-            if isinstance(step.body, Ref) and step.body.name in captured:
-                continue  # identity inverse: f^-1(f(m,s),s) = m
-            fn = inverse_table.get(idx)
-            if fn is None:
-                return "unknown"
-            if samples and idx in samples:
-                m, out = samples[idx]
-                ok = ok and fn(out) == m
-    return ok
+def verify_inverse(run):
+    """Theorem 1's invertibility, f^-1(f(m,s),s) = m, read off a finished
+    unguarded run of the attack.  An attacker's k-th injection is the
+    forgery of its k-th `InjectStep`.  A body that reads no capture
+    replays material held before the run: the identity inverts it.
+    Otherwise exactly one of the run's honest sends (distinct on the
+    wire) may give the forgery under `attack_step`, and it must be what
+    the capture took.  That is injectivity on the run's own traffic,
+    weaker than on all messages, but checked on each attack's own
+    forgeries.  Returns True, False, or "inverse unknown" when the run
+    made fewer injections than the function has inject steps."""
+    sends = {wire_view(ev.env.body): ev.env.body
+             for ev in run.network.history if ev.kind == "send"}
+    for att in run.attackers:
+        if att.function is None:
+            continue
+        steps = [s for s, step in enumerate(att.function.steps, start=1)
+                 if isinstance(step, InjectStep)]
+        forged = [ev.env.body for ev in run.network.history
+                  if ev.kind == "inject" and ev.env.true_sender == att.name]
+        if len(forged) < len(steps):
+            return "inverse unknown"
+        for s, out in zip(steps, forged):
+            capture = att.capture_of(s)
+            if capture is None:
+                continue
+            images = ((m, att.attack_step(m, s)) for m in sends.values())
+            hits = [m for m, got in images if got and wire_eq(got[1], out)]
+            if len(hits) != 1 or capture.bind not in att.bindings or \
+                    not wire_eq(hits[0], att.bindings[capture.bind]):
+                return False
+    return True
 
 
 def is_defense_mechanism(topology: Topology, guardian: str, defended: str,
                          monitored_slots: Sequence[Tuple[str, str]],
-                         attackers: Sequence[str], attack: AttackFunction,
-                         inverse_table=None, samples=None):
+                         attackers: Sequence[str], runs: Sequence):
     """Theorem 1 reading: topological advantage plus an invertible attack
-    function make the guardian a defense mechanism.  Returns True, False
-    or "inverse unknown"."""
-    inv = verify_inverse(attack, inverse_table, samples)
-    if inv == "unknown":
-        return "inverse unknown"
-    if not inv:
-        return False
+    function make the guardian a defense mechanism.  `runs` are finished
+    unguarded runs of the attacks (`verify_inverse`).  Returns True,
+    False or "inverse unknown"."""
+    for run in runs:
+        inv = verify_inverse(run)
+        if inv is not True:
+            return inv
     return topological_advantage(topology, guardian, defended,
                                  monitored_slots, attackers)

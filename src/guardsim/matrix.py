@@ -108,10 +108,11 @@ def evaluate_cell(case, kind: str, seed: int = 0) -> Cell:
     attackers = [a.name for a in w.attackers]
     adv = topological_advantage(w.topology, "G", case.defended_agent,
                                 case.monitored_slots, attackers)
-    idm = is_defense_mechanism(
-        w.topology, "G", case.defended_agent, case.monitored_slots,
-        attackers, case.attacks[case.attack_names[0]].function(),
-        case.inverse_table or None, case.inverse_samples or None)
+    # every attack makes all its injections unguarded at the home layout
+    runs = [case.wire(kind=None, guardian=False, attack=attack)
+            .simulator(seed=seed).run() for attack in case.attack_names]
+    idm = is_defense_mechanism(w.topology, "G", case.defended_agent,
+                               case.monitored_slots, attackers, runs)
 
     gap = case.matrix_fn_witness and case.matrix_fn_witness(kind, seed)
     witness = gap or next((f"attack {attack!r} completed undetected"

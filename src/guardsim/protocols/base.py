@@ -95,8 +95,6 @@ class CaseStudy:
     # receiver -> the identity the enumerated attacker claims toward it
     masks: Dict[str, str] = field(default_factory=lambda: {"A": "B"})
     success_extra: Optional[Callable] = None
-    inverse_table: Dict[int, Callable] = field(default_factory=dict)
-    inverse_samples: Dict[int, Tuple] = field(default_factory=dict)
     matrix_fn_witness: Optional[Callable] = None
 
     def __post_init__(self):

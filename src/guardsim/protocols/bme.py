@@ -157,12 +157,6 @@ def a_scope_gap(kind: str = "D", seed: int = 0) -> Optional[str]:
     return None
 
 
-def _identity(out):
-    """Replayed tickets are known material played back verbatim: the
-    inverse of a replay is the identity."""
-    return out
-
-
 CASE = register(CaseStudy(
     name="bme-fixed",
     defended_agent="B",
@@ -182,7 +176,5 @@ CASE = register(CaseStudy(
     monitored_slots=(("A", "S"), ("A", "B")),
     masks={"B": "A"},
     success_extra=binding_derivable("B", "kab"),
-    inverse_table={1: _identity, 2: _identity, 3: _identity},
-    inverse_samples={1: (old_tickets()[2], old_tickets()[2])},
     matrix_fn_witness=a_scope_gap,
 ))

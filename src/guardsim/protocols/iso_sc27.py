@@ -31,48 +31,47 @@ from .base import Attack, CaseStudy
 KEY_AB = SymKey(value=1001, label="K_AB")
 
 
-def initiator_script(peer: str, key: SymKey = KEY_AB) -> RoleScript:
+def initiator_script(peer: str) -> RoleScript:
     return RoleScript(name="iso-init", steps=(
         SendStep(receiver=peer, body=TFresh("na", "nonce", "N_{agent}"), msg=1),
         ExpectStep(Enc(seq(Ref("na"), PBind("nb", "nonce")),
-                       Const(key)), msg=2),
+                       Const(KEY_AB)), msg=2),
         SendStep(receiver=peer, body=Ref("nb"), msg=3),
     ))
 
 
-def responder_script(peer: str, key: SymKey = KEY_AB) -> RoleScript:
+def responder_script(peer: str) -> RoleScript:
     return RoleScript(name="iso-resp", steps=(
         ExpectStep(PBind("n", "nonce"), msg=1),
         SendStep(receiver=peer,
                  body=Enc(seq(Ref("n"), TFresh("n2", "nonce", "N_{agent}")),
-                          Const(key)), msg=2),
+                          Const(KEY_AB)), msg=2),
         ExpectStep(Ref("n2"), msg=3),
     ))
 
 
-def classic_attack(victim: str = "A", mask: str = "B",
-                   slots=((2, 1, 0), (1, 2, 0), (2, 3, 0))) -> AttackFunction:
+def classic_attack(slots=((2, 1, 0), (1, 2, 0), (2, 3, 0))) -> AttackFunction:
     """The parallel-session reflection, step-indexed: erase then reflect
-    each of the victim's messages.  `slots` places the three injections
-    (session, msg, primes)."""
+    each of A's messages to B back at A.  `slots` places the three
+    injections (session, msg, primes)."""
     s1, s2, s3 = (Slot(*s) for s in slots)
     return AttackFunction(name="iso-reflection", steps=(
-        EraseStep(pattern=PBind("x1", "nonce"), from_agent=victim,
-                  to_agent=mask, bind="n1"),
-        InjectStep(body=Ref("n1"), claimed=mask, receiver=victim, slot=s1),
-        EraseStep(pattern=PBind("x2", "symenc"), from_agent=victim,
-                  to_agent=mask, bind="ct"),
-        InjectStep(body=Ref("ct"), claimed=mask, receiver=victim, slot=s2),
-        EraseStep(pattern=PBind("x3", "nonce"), from_agent=victim,
-                  to_agent=mask, bind="n2"),
-        InjectStep(body=Ref("n2"), claimed=mask, receiver=victim, slot=s3),
+        EraseStep(pattern=PBind("x1", "nonce"), from_agent="A",
+                  to_agent="B", bind="n1"),
+        InjectStep(body=Ref("n1"), claimed="B", receiver="A", slot=s1),
+        EraseStep(pattern=PBind("x2", "symenc"), from_agent="A",
+                  to_agent="B", bind="ct"),
+        InjectStep(body=Ref("ct"), claimed="B", receiver="A", slot=s2),
+        EraseStep(pattern=PBind("x3", "nonce"), from_agent="A",
+                  to_agent="B", bind="n2"),
+        InjectStep(body=Ref("n2"), claimed="B", receiver="A", slot=s3),
     ))
 
 
 def make_attacker(name: str = "E", variant: str = "proceed",
-                  awareness=None, slots=((2, 1, 0), (1, 2, 0), (2, 3, 0)),
-                  seed_knowledge=()) -> AttackerAgent:
-    ks = KnowledgeSet([AgentId("A"), AgentId("B"), *seed_knowledge])
+                  awareness=None, slots=((2, 1, 0), (1, 2, 0), (2, 3, 0))
+                  ) -> AttackerAgent:
+    ks = KnowledgeSet([AgentId("A"), AgentId("B")])
     return AttackerAgent(name=name, interest=["A"],
                          function=classic_attack(slots=slots),
                          variant=variant, awareness=awareness, knowledge=ks)

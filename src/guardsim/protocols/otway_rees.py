@@ -21,7 +21,7 @@ from ..guardian import (Distinguisher, FakeSpec, Guardian, GuardianFilter,
                         Intercept, InterferencePlan, InvariantSpec,
                         RaiseAbortFlag, SendFake)
 from ..network import Slot
-from ..terms import AgentId, SymEnc, SymKey
+from ..terms import AgentId, SymKey
 from . import register
 from .base import Attack, CaseStudy, binding_derivable
 
@@ -129,23 +129,6 @@ def make_guardian() -> Guardian:
                     plan=plan)
 
 
-def _invert_direct(out):
-    """Recover the suppressed (1) from the replayed (4): the ciphertext is
-    verbatim and the cleartext agent names are public."""
-    from ..terms import pair, pair_items
-    items = pair_items(out)
-    return pair(items[0], A_ID, B_ID, items[1])
-
-
-def _inverse_sample():
-    from ..terms import Nonce, Pair, pair
-    i0 = Nonce(value=901, label="I")
-    ct0 = SymEnc(pair(Nonce(value=902, label="N_A"), i0, A_ID, B_ID), KEY_AS)
-    m0 = pair(i0, A_ID, B_ID, ct0)
-    out0 = pair(i0, ct0)
-    return m0, out0
-
-
 CASE = register(CaseStudy(
     name="otway-rees",
     defended_agent="A",
@@ -163,6 +146,4 @@ CASE = register(CaseStudy(
     monitored_slots=(("A", "B"),),
     masks={"A": "B", "B": "S"},
     success_extra=binding_derivable("A", "kab"),
-    inverse_table={2: _invert_direct},
-    inverse_samples={2: _inverse_sample()},
 ))

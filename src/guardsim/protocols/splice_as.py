@@ -174,41 +174,6 @@ def deceived_by_retarget(result) -> bool:
     return False
 
 
-def _invert_resign(out):
-    """Map the re-signed challenge back to A's original: the inner
-    encrypted challenge survives verbatim; identities and T,L are
-    public.  Recognition, not forgery: the map names the original term."""
-    from ..terms import AsymEnc, pair, pair_items
-    items = pair_items(out)
-    inner = pair_items(items[2].payload)
-    return pair(AID["A"], AID["B"],
-                AsymEnc(pair(AID["A"], inner[1], inner[2], inner[3]),
-                        K_A_PRIV))
-
-
-def _invert_retarget(out):
-    """Map the re-encrypted reply back to B's answer toward the attacker."""
-    from ..terms import AsymEnc, pair, pair_items
-    items = pair_items(out)
-    inner = pair_items(items[2].payload)
-    return pair(AID["B"], AID["E"],
-                AsymEnc(pair(AID["B"], inner[1]), K_E_PUB))
-
-
-def _inverse_samples():
-    from ..terms import AsymEnc, Nonce, pair, succ
-    n2 = Nonce(value=911, label="N_2")
-    ctn = AsymEnc(n2, K_B_PUB)
-    m3 = pair(AID["A"], AID["B"],
-              AsymEnc(pair(AID["A"], T0, L0, ctn), K_A_PRIV))
-    out3 = pair(AID["E"], AID["B"],
-                AsymEnc(pair(AID["E"], T0, L0, ctn), K_E_PRIV))
-    n2p = succ(n2, 1)
-    m6 = pair(AID["B"], AID["E"], AsymEnc(pair(AID["B"], n2p), K_E_PUB))
-    out6 = pair(AID["B"], AID["A"], AsymEnc(pair(AID["B"], n2p), K_A_PUB))
-    return {2: (m3, out3), 4: (m6, out6)}
-
-
 CASE = register(CaseStudy(
     name="splice-as",
     defended_agent="A",
@@ -224,6 +189,4 @@ CASE = register(CaseStudy(
     conditional_topologies={"D": "can still raise A's abort flag"},
     monitored_slots=(("A", "AS"), ("B", "AS")),
     success_extra=deceived_by_retarget,
-    inverse_table={2: _invert_resign, 4: _invert_retarget},
-    inverse_samples=_inverse_samples(),
 ))

@@ -12,7 +12,8 @@ Parts:
   enum/<study>/<layout> the same on every other layout the study runs on
 
 `python tests/golden.py` prints the digests as JSON; `--write` rewrites
-tests/golden_digests.json.  Only a change that alters behaviour on
+tests/golden_digests.json and prints the name of each part whose digest
+it changed, added or dropped.  Only a change that alters behaviour on
 purpose should rewrite an entry.
 """
 
@@ -109,6 +110,11 @@ def main(argv) -> int:
     digests = compute()
     text = json.dumps(digests, indent=1, sort_keys=True) + "\n"
     if "--write" in argv:
+        with open(DIGESTS) as fh:
+            old = json.load(fh)
+        for part in sorted(digests.keys() | old.keys()):
+            if digests.get(part) != old.get(part):
+                print(part)
         with open(DIGESTS, "w") as fh:
             fh.write(text)
     else:

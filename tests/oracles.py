@@ -35,8 +35,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from guardsim.agents import (AEnc, Const, Enc, Inc, KIND_CHECKS, PBind,
                              PPair, Ref, Seq)
-from guardsim.enumeration import (EnumerationReport, MAX_INJECT_TERMS,
-                                  ScriptedAttacker)
+from guardsim.enumeration import EnumerationReport, ScriptedAttacker
 from guardsim.knowledge import KnowledgeSet
 from guardsim.scenario import evaluate
 from guardsim.simulator import BudgetExceeded
@@ -201,7 +200,6 @@ def replay_enumerate(case, kind: str, max_choices: int = 8,
         if result is None:
             continue
         report.runs += 1
-        report.capped += len(scripted.spied_terms) > MAX_INJECT_TERMS
         outcome = evaluate(result, victim, True, case.success_extra)
         if outcome.false_negatives > 0:
             report.false_negatives += 1
@@ -246,7 +244,7 @@ def options(attacker: ScriptedAttacker, pending) -> List[Tuple]:
     visible = [seq for seq in sorted(pending)
                if attacker.sees(pending[seq]) and not pending[seq].injected]
     opts: List[Tuple] = [("erase", i) for i in range(len(visible))]
-    for j in range(min(len(attacker.spied_terms), MAX_INJECT_TERMS)):
+    for j in range(len(attacker.spied_terms)):
         for receiver in sorted(attacker.masks):
             opts.append(("inject", j, receiver))
     return opts

@@ -1,9 +1,11 @@
 """Guardian modules: FSM discipline, invariants, windows, predicates."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from guardsim.agents import PBind, seq
+from guardsim.agents import AttackFunction, Enc, PBind, Ref, seq
 from guardsim.guardian import (Distinguisher, FakeSpec, Guardian,
                                GuardianFilter, GuardianStore,
                                Intercept, InterferencePlan, InvariantSpec,
@@ -11,8 +13,8 @@ from guardsim.guardian import (Distinguisher, FakeSpec, Guardian,
                                topological_advantage, verify_inverse)
 from guardsim.montecarlo import monte_carlo_fp
 from guardsim.network import Envelope, Slot
-from guardsim.protocols.iso_sc27 import classic_attack, make_guardian, wire
-from guardsim.protocols import builtin
+from guardsim.protocols.iso_sc27 import make_guardian, wire
+from guardsim.protocols import builtin, builtin_names
 from guardsim.terms import (AsymEnc, AsymKey, Atom, Nonce, Pair, SymEnc,
                             SymKey, comm_enc, pair_items, subterms)
 from guardsim.topology import base_topology
@@ -184,32 +186,63 @@ def test_topological_advantage_examples():
         topological_advantage(topo_a, "G", "Z", (("A", "B"),), ["E"])
 
 
+def unguarded_run(name, attack, kind=None, seed=0, function=None):
+    w = builtin(name).wire(kind=kind, guardian=False, attack=attack)
+    if function is not None:
+        w.attackers[0].function = function
+    return w.simulator(seed=seed).run()
+
+
 def test_defense_mechanism_tri_state():
     topo_a = base_topology("A", honest=("A", "B"))
     topo_b = base_topology("B", honest=("A", "B"))
-    fn = classic_attack()
-    assert is_defense_mechanism(topo_a, "G", "A", (("A", "B"),), ["E"], fn) is True
-    assert is_defense_mechanism(topo_b, "G", "A", (("A", "B"),), ["E"], fn) is False
-    # an attack with a non-replay injection and no registered inverse
-    from guardsim.agents import AttackFunction, InjectStep, Const
-    odd = AttackFunction(name="odd", steps=(
-        InjectStep(body=Const(NA), claimed="B", receiver="A",
-                   slot=Slot(2, 1)),))
-    assert is_defense_mechanism(topo_a, "G", "A", (("A", "B"),), ["E"], odd) \
-        == "inverse unknown"
+    runs = [unguarded_run("iso-sc-27", "classic")]
+    assert is_defense_mechanism(topo_a, "G", "A", (("A", "B"),), ["E"],
+                                runs) is True
+    assert is_defense_mechanism(topo_b, "G", "A", (("A", "B"),), ["E"],
+                                runs) is False
+    # an attack that never made its injections leaves the inverse unknown
+    runs.append(unguarded_run("bme-fixed", "trace-2", kind="C"))
+    assert is_defense_mechanism(topo_a, "G", "A", (("A", "B"),), ["E"],
+                                runs) == "inverse unknown"
 
 
-def test_verify_inverse_identity_for_replays():
-    assert verify_inverse(classic_attack()) is True
+@pytest.mark.parametrize("name,attack", [
+    (name, attack) for name in builtin_names()
+    for attack in builtin(name).attack_names])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_every_attack_inverts_on_its_own_run(name, attack, seed):
+    assert verify_inverse(unguarded_run(name, attack, seed=seed)) is True
 
 
-def test_registered_inverse_samples_verified():
-    case = builtin("otway-rees")
-    fn = case.attacks["trace-1"].function()
-    assert verify_inverse(fn, case.inverse_table, case.inverse_samples) is True
-    case2 = builtin("splice-as")
-    fn2 = case2.attacks["classic"].function()
-    assert verify_inverse(fn2, case2.inverse_table, case2.inverse_samples) is True
+def test_key_only_forgery_does_not_invert():
+    """A forgery that keeps only the captured ciphertext's key names
+    every honest message under that key: three of A's messages under R
+    give the same forgery, so no inverse names the original."""
+    steps = list(builtin("eke").attacks["classic"].function().steps)
+    steps[-2] = replace(steps[-2], pattern=Enc(PBind("p5", "any"),
+                                               PBind("k5", "any")))
+    steps[-1] = replace(steps[-1], body=Ref("k5"))
+    run = unguarded_run("eke", "classic",
+                        function=AttackFunction("eke-key", tuple(steps)))
+    assert verify_inverse(run) is False
+
+
+def test_inverse_unknown_when_the_run_makes_too_few_injections():
+    # on C, E has no station on the A-S channel: it never sees the reply
+    run = unguarded_run("bme-fixed", "trace-2", kind="C")
+    assert not [ev for ev in run.network.history if ev.kind == "inject"]
+    assert verify_inverse(run) == "inverse unknown"
+
+
+def test_each_attack_is_judged_by_its_own_function():
+    """Otway-Rees trace-2's forgery is no image of trace-1's function on
+    that run's traffic."""
+    run = unguarded_run("otway-rees", "trace-2")
+    assert verify_inverse(run) is True
+    run.attackers[0].function = \
+        builtin("otway-rees").attacks["trace-1"].function()
+    assert verify_inverse(run) is False
 
 
 def test_resilient_signal_requires_link_and_guardian():
