@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import (Collection, Dict, List, Optional, Sequence, Set, Tuple,
                     Union)
 
-from .agents import InjectStep, NullMint, instantiate, match
+from .agents import (KIND_CHECKS, InjectStep, NullMint, PBind, instantiate,
+                     match)
 from .marks import DrawMarks, Marked
 from .network import Envelope, Erase, Inject, ResilientSignal, Slot
 from .terms import (Atom, Nonce, Term, render, wire_eq, wire_view,
@@ -42,12 +43,20 @@ from .topology import Topology
 @dataclass
 class Distinguisher:
     """Deterministic structural classifier: 1 iff any rule pattern
-    matches."""
+    matches.  Each rule is compiled once into a test of the term: a bare
+    `PBind` into its kind check, since the name it binds cannot change
+    the verdict, and any other rule into a `match` call."""
     rules: Sequence[object]
 
+    def __post_init__(self):
+        self.checks = tuple(
+            KIND_CHECKS[rule.kind] if type(rule) is PBind
+            else lambda m, rule=rule: match(rule, m, {}) is not None
+            for rule in self.rules)
+
     def __call__(self, m: Term) -> int:
-        for rule in self.rules:
-            if match(rule, m, {}) is not None:
+        for check in self.checks:
+            if check(m):
                 return 1
         return 0
 
@@ -85,8 +94,7 @@ class GuardianStore(Marked):
         key = wire_view(term)
         entry = self.entries.get(key)
         if entry is None:
-            entry = StoreEntry(term=term, labels=set(labels),
-                               last_rev=self.revision)
+            entry = StoreEntry(term, set(labels), self.revision)
             self.entries[key] = entry
             if not isinstance(term, LEAF_TYPES):   # a leaf has no components
                 for part in {wire_view(c) for c in _enc_components(term)}:
@@ -368,14 +376,16 @@ class Guardian(DrawMarks):
         """The Control module's verdict on `m`: its criticality and, for
         a critical message, whether the invariant fires over D_G as it
         stands (None for a message that is not critical)."""
-        crit = self.crit(m)
+        delta_c = self.crit
+        crit = delta_c(m)
         if not crit:
             return crit, None
         if not self.invariant_operative:
             return crit, 0
-        return crit, self.invariant.evaluate(
-            m, self.invariant.candidates(m, self.store), self.crit,
-            self.window, self.store.revision + 1)
+        invariant, store = self.invariant, self.store
+        return crit, invariant.evaluate(m, invariant.candidates(m, store),
+                                        delta_c, self.window,
+                                        store.revision + 1)
 
     def process(self, env: Envelope) -> bool:
         """Run the modules on a spied envelope; True iff interference was

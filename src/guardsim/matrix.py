@@ -88,7 +88,9 @@ class MatrixReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def evaluate_cell(case, kind: str, seed: int = 0) -> Cell:
+def evaluate_cell(case, kind: str, seed: int, runs: List) -> Cell:
+    """One cell of the matrix.  `runs`, the study's unguarded attack runs
+    at its home layout, judge invertibility alike on each of its cells."""
     fn_by_attack: Dict[str, int] = {}
     interfered: Dict[str, bool] = {}
     for attack in case.attack_names:
@@ -108,9 +110,6 @@ def evaluate_cell(case, kind: str, seed: int = 0) -> Cell:
     attackers = [a.name for a in w.attackers]
     adv = topological_advantage(w.topology, "G", case.defended_agent,
                                 case.monitored_slots, attackers)
-    # every attack makes all its injections unguarded at the home layout
-    runs = [case.wire(kind=None, guardian=False, attack=attack)
-            .simulator(seed=seed).run() for attack in case.attack_names]
     idm = is_defense_mechanism(w.topology, "G", case.defended_agent,
                                case.monitored_slots, attackers, runs)
 
@@ -143,11 +142,16 @@ def defense_matrix(protocols=None, topologies=None, seed: int = 0) -> MatrixRepo
     for name in (protocols or builtin_names()):
         case = builtin(name)
         kinds = topologies or case.applicable_kinds()
+        runs = None
         for kind in kinds:
             if kind not in TOPOLOGY_KINDS:
                 raise ConfigError(f"unknown topology kind {kind!r}; "
                                   f"known: {list(TOPOLOGY_KINDS)}")
             if kind not in case.applicable_kinds():
                 continue
-            report.cells.append(evaluate_cell(case, kind, seed))
+            if runs is None:   # every attack injects unguarded at home
+                runs = [case.wire(kind=None, guardian=False, attack=attack)
+                        .simulator(seed=seed).run()
+                        for attack in case.attack_names]
+            report.cells.append(evaluate_cell(case, kind, seed, runs))
     return report

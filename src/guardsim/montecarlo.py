@@ -67,15 +67,12 @@ def monte_carlo_fp(nonce_bits: int, dataset_size: int, trials: int,
     while len(values) < dataset_size:
         values.add(rng.getrandbits(nonce_bits))
     for v in sorted(values):
-        g.store.add(Nonce(value=v, width=nonce_bits, label="N"),
-                    {"P", "critical"})
+        g.store.add(Nonce(v, nonce_bits, "N"), {"P", "critical"})
 
     control = g.control
     hits = 0
     for _ in range(trials):
-        m = Nonce(value=rng.getrandbits(nonce_bits), width=nonce_bits,
-                  label="N_B")
-        if control(m)[1]:
+        if control(Nonce(rng.getrandbits(nonce_bits), nonce_bits, "N_B"))[1]:
             hits += 1
 
     analytic = math.ldexp(dataset_size, -nonce_bits)

@@ -187,6 +187,8 @@ Term = Union[Atom, AgentId, Nonce, SymKey, AsymKey, Password, Pair,
              SymEnc, AsymEnc, CommEnc, Succ, Timestamp, Lifetime]
 
 LEAF_TYPES = (Atom, AgentId, Nonce, SymKey, AsymKey, Password, Timestamp, Lifetime)
+# the leaves whose wire view is their bare value, looked up by exact type
+VALUE_LEAVES = frozenset((Nonce, SymKey, Password, Atom, Timestamp, Lifetime))
 KEY_TYPES = (SymKey, AsymKey, Password)
 
 
@@ -278,14 +280,14 @@ def wire_view(t: Term):
     key of equal value are the same bitstring); a Succ over a leaf folds
     into the value.  Structure (pairing, encryption layers) is preserved.
     """
+    if type(t) in VALUE_LEAVES:
+        return ("leaf", t.value)
     try:
         view = t._wire
     except AttributeError:
         raise TermError(f"not a term: {t!r}") from None
     if view is not None:
         return view
-    if isinstance(t, (Nonce, SymKey, Password, Atom, Timestamp, Lifetime)):
-        return ("leaf", t.value)
     if isinstance(t, AgentId):
         return ("agent", t.name)
     if isinstance(t, AsymKey):

@@ -10,6 +10,9 @@ Parts:
   matrix                `defense_matrix()` as JSON and rendered
   enum/<study>          `enumerate_attacks` at depth 3 on the home layout
   enum/<study>/<layout> the same on every other layout the study runs on
+  montecarlo/k<bits>-d<size>-t<trials>-s<seed>
+                        the `FpEstimate` of `monte_carlo_fp`, which pins
+                        the RNG stream through its trial loop
 
 `python tests/golden.py` prints the digests as JSON; `--write` rewrites
 tests/golden_digests.json and prints the name of each part whose digest
@@ -17,6 +20,7 @@ it changed, added or dropped.  Only a change that alters behaviour on
 purpose should rewrite an entry.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,6 +30,7 @@ import tempfile
 from guardsim.cases import enumerate_interaction_cases
 from guardsim.enumeration import enumerate_attacks
 from guardsim.matrix import defense_matrix
+from guardsim.montecarlo import monte_carlo_fp
 from guardsim.protocols import builtin, builtin_names
 from guardsim.scenario import evaluate, write_trace_file
 from guardsim.simulator import BudgetExceeded
@@ -35,6 +40,9 @@ DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "golden_digests.json")
 SEEDS = (0, 1, 2)
 ENUM_DEPTH = 3
+# (nonce bits, |D_G|, trials, seed) of each montecarlo part
+MONTE_CARLO = ((8, 4, 100_000, 42), (12, 256, 1_500, 1), (12, 256, 1_500, 7),
+               (1024, 4, 10_000, 42))
 
 
 def digest(records) -> str:
@@ -103,6 +111,11 @@ def compute() -> dict:
                    else f"enum/{name}/{kind}")
             out[key] = digest((rep.runs, rep.false_negatives,
                                rep.fn_witnesses, rep.deceptions_detected))
+
+    for bits, size, trials, seed in MONTE_CARLO:
+        est = monte_carlo_fp(bits, size, trials, seed)
+        out[f"montecarlo/k{bits}-d{size}-t{trials}-s{seed}"] = digest(
+            [dataclasses.asdict(est)])
     return out
 
 

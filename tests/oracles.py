@@ -20,7 +20,8 @@ return sets that iterate alike.
 before it forked: every leaf wired afresh and replayed from round 0.
 
 `wire_view` is the wire encoding walked afresh on every call, as
-`terms.wire_view` computed it before composite terms kept their view.
+`terms.wire_view` computed it before composite terms kept their view and
+value leaves were looked up by exact type.
 
 `options` is a scripted attacker's option menu listed in full, as
 `ScriptedAttacker` built and scanned it every round before it kept only

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from guardsim.agents import AttackFunction, Enc, PBind, Ref, seq
+from guardsim.agents import AttackFunction, Enc, PBind, Ref, match, seq
 from guardsim.guardian import (Distinguisher, FakeSpec, Guardian,
                                GuardianFilter, GuardianStore,
                                Intercept, InterferencePlan, InvariantSpec,
@@ -15,9 +15,13 @@ from guardsim.montecarlo import monte_carlo_fp
 from guardsim.network import Envelope, Slot
 from guardsim.protocols.iso_sc27 import make_guardian, wire
 from guardsim.protocols import builtin, builtin_names
+from guardsim.simulator import BudgetExceeded
 from guardsim.terms import (AsymEnc, AsymKey, Atom, Nonce, Pair, SymEnc,
                             SymKey, comm_enc, pair_items, subterms)
 from guardsim.topology import base_topology
+
+import golden
+from test_terms import LEAVES as DRAWN_LEAVES
 
 K = SymKey(value=1, label="K_AB")
 NA = Nonce(value=10, label="N_A")
@@ -389,3 +393,76 @@ def test_monte_carlo_trial_passes_at_most_one_entry(monkeypatch):
     est = monte_carlo_fp(nonce_bits=8, dataset_size=128, trials=200, seed=1)
     assert len(sizes) == 200 and max(sizes) <= 1
     assert sum(sizes) == est.hits
+
+
+# -- compiled distinguisher rules give match's verdicts ----------------------
+
+def golden_bodies():
+    """Every body on the network in the runs tests/golden.py digests."""
+    bodies = set()
+    for name in builtin_names():
+        case = builtin(name)
+        for kind in case.applicable_kinds():
+            for attack in (None, *case.attack_names):
+                for guardian in (False, True):
+                    for seed in golden.SEEDS:
+                        try:
+                            result = case.wire(
+                                kind=kind, guardian=guardian,
+                                attack=attack).simulator(seed=seed).run()
+                        except BudgetExceeded:
+                            continue
+                        bodies.update(ev.env.body
+                                      for ev in result.network.history
+                                      if ev.env is not None)
+    return sorted(bodies, key=repr)
+
+
+GOLDEN_BODIES = golden_bodies()
+DISTINGUISHERS = [d for name in builtin_names()
+                  for kind in builtin(name).applicable_kinds()
+                  for g in (builtin(name).wire(kind=kind).guardian,)
+                  for d in (g.ident, g.crit)]
+# terms built over the golden bodies' subterms and drawn leaves, so that
+# the studies' structural rules both match and fail
+BUILT = st.recursive(
+    st.one_of(st.sampled_from(sorted({t for m in GOLDEN_BODIES
+                                      for t in subterms(m)}, key=repr)),
+              DRAWN_LEAVES),
+    lambda t: st.one_of(st.builds(Pair, t, t), st.builds(SymEnc, t, t),
+                        st.builds(AsymEnc, t, t)),
+    max_leaves=6)
+
+
+def check_compiled(d, m):
+    verdicts = [match(rule, m, {}) is not None for rule in d.rules]
+    assert [check(m) for check in d.checks] == verdicts, (d.rules, m)
+    assert d(m) == any(verdicts)
+    return any(verdicts)
+
+
+def test_compiled_rules_match_on_every_golden_body():
+    fired = sum(check_compiled(d, m)
+                for d in DISTINGUISHERS for m in GOLDEN_BODIES)
+    assert 0 < fired < len(DISTINGUISHERS) * len(GOLDEN_BODIES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BUILT)
+def test_compiled_rules_match_on_drawn_terms(t):
+    for d in DISTINGUISHERS:
+        check_compiled(d, t)
+
+
+def test_structural_rules_call_match_through_the_guardian_module(
+        monkeypatch):
+    # the benchmark tracer patches `guardian.match`; a bare PBind needs
+    # no match call, any other rule makes one
+    from guardsim import guardian
+    calls = []
+    monkeypatch.setattr(guardian, "match",
+                        lambda *a: calls.append(a[0]) or match(*a))
+    rule = seq(PBind("x"), PBind("y"))
+    d = Distinguisher([PBind("n", "nonce"), rule])
+    assert d(Pair(K, K)) == 1 and calls == [rule]
+    assert d(NA) == 1 and calls == [rule]

@@ -179,6 +179,16 @@ EXAMPLES = {
 }
 
 
+@pytest.mark.parametrize("t", [
+    *(cls(*args) for cls, args in EXAMPLES.items()),
+    *(Succ(Succ(cls(*EXAMPLES[cls]), 1), 2) for cls in terms.LEAF_TYPES)],
+    ids=repr)
+def test_wire_view_of_each_term_class_matches_the_oracle(t):
+    # every class, and a Succ kept over a Succ over each leaf class
+    for _ in range(2):
+        assert wire_view(t) == oracles.wire_view(t)
+
+
 def dataclass_twin(cls):
     """A plain frozen dataclass with `cls`'s fields, whose `__init__` is
     the one `dataclasses` generates."""
