@@ -117,58 +117,53 @@ def match(pattern, term: Term, bindings: Dict[str, Term]) -> Optional[Dict[str, 
     """Match `term` against `pattern`, extending a copy of `bindings`;
     None on mismatch.  Value comparisons (constants, back-references,
     successor checks) are wire-level -- agents compare received bits, so
-    a colliding value passes even if its symbolic kind differs.  Nodes
-    dispatch on their exact type, the most common first."""
+    a colliding value passes even if its symbolic kind differs."""
+    out = dict(bindings)
+    return out if _bind(pattern, term, out) else None
+
+
+def _bind(pattern, term: Term, out: Dict[str, Term]) -> bool:
+    """`match` on the one copy it made: bind into `out` in place, left to
+    right, and say whether `term` matched.  Nodes dispatch on their exact
+    type, the most common first."""
     cls = type(pattern)
     if cls is PBind:
         if not KIND_CHECKS[pattern.kind](term):
-            return None
-        out = dict(bindings)
+            return False
         out[pattern.name] = term
-        return out
+        return True
     if cls is Seq:
         items = pair_items(term)
         if len(items) != len(pattern.items):
-            return None
-        out = dict(bindings)
+            return False
         for pat, sub in zip(pattern.items, items):
-            out = match(pat, sub, out)
-            if out is None:
-                return None
-        return out
+            if not _bind(pat, sub, out):
+                return False
+        return True
     if cls is Ref:
-        bound = bindings.get(pattern.name)
-        return dict(bindings) if bound is not None and wire_eq(term, bound) \
-            else None
+        bound = out.get(pattern.name)
+        return bound is not None and wire_eq(term, bound)
     if cls is Const:
-        return dict(bindings) if wire_eq(term, pattern.term) else None
+        return wire_eq(term, pattern.term)
     if cls is Enc or cls is AEnc:
-        if type(term) is not (SymEnc if cls is Enc else AsymEnc):
-            return None
-        out = match(pattern.key, term.key, bindings)
-        if out is None:
-            return None
-        return match(pattern.payload, term.payload, out)
+        return (type(term) is (SymEnc if cls is Enc else AsymEnc)
+                and _bind(pattern.key, term.key, out)
+                and _bind(pattern.payload, term.payload, out))
     if cls is PPair:
-        if type(term) is not Pair:
-            return None
-        out = match(pattern.left, term.left, bindings)
-        if out is None:
-            return None
-        return match(pattern.right, term.right, out)
+        return (type(term) is Pair and _bind(pattern.left, term.left, out)
+                and _bind(pattern.right, term.right, out))
     if cls is Inc:
         if type(term) is Succ and term.offset == pattern.offset:
-            return match(pattern.base, term.base, bindings)
+            return _bind(pattern.base, term.base, out)
         # wire fallback: a bare value equal to base+offset passes the
         # increment check (bits are bits)
         expected = None
         if type(pattern.base) is Ref:
-            expected = bindings.get(pattern.base.name)
+            expected = out.get(pattern.base.name)
         elif type(pattern.base) is Const:
             expected = pattern.base.term
-        if expected is not None and wire_eq(term, succ(expected, pattern.offset)):
-            return dict(bindings)
-        return None
+        return expected is not None and \
+            wire_eq(term, succ(expected, pattern.offset))
     raise TypeError(f"not a pattern: {pattern!r}")
 
 
@@ -427,7 +422,8 @@ class Consumed:
 
 @dataclass
 class Session(Marked):
-    _moving = (("pc", "value"), ("status", "value"), ("bindings", "copy"),
+    # `bindings` is replaced, never changed in place
+    _moving = (("pc", "value"), ("status", "value"), ("bindings", "value"),
                ("consumed", "grows"), ("last_msg", "value"))
 
     key: int                  # agent-local ordinal
@@ -460,7 +456,7 @@ class HonestAgent(Marked):
 
     _moving = (("sessions", "each"), ("aborted", "value"),
                ("_send_cache", "copy"), ("_ready", "copy"),
-               ("_waiting", "copy"), ("_buckets", "copies"),
+               ("_waiting", "copy"), ("_buckets", "copy"),
                ("_paths", "copy"), ("_consumed", "copy"))
 
     def __init__(self, name: str, responder_scripts: Sequence[RoleScript] = ()):
@@ -468,11 +464,11 @@ class HonestAgent(Marked):
         self.responder_scripts = list(responder_scripts)
         self.sessions: Dict[int, Session] = {}
         self.aborted = False
-        self._send_cache: Dict[Tuple[int, int], Tuple[Term, str]] = {}
+        self._send_cache: Dict[Tuple[int, int], Send] = {}
         self._ready: List[int] = []          # min-heap of send-ready keys
         # key -> (awaited step, its bucket: (anchor path, wire view) or None)
         self._waiting: Dict[int, Tuple[ExpectStep, object]] = {}
-        self._buckets: Dict[object, Set[int]] = {}   # None: the residual
+        self._buckets: Dict[object, Tuple[int, ...]] = {}   # None: the residual
         self._paths: Set[tuple] = set()   # every anchor path ever filed
         # (net_session, wire view) of every body a session consumed
         self._consumed: Set[Tuple[int, object]] = set()
@@ -499,7 +495,7 @@ class HonestAgent(Marked):
                     slot = (path, wire_view(value))
                     self._paths.add(path)
             self._waiting[sess.key] = (step, slot)
-            self._buckets.setdefault(slot, set()).add(sess.key)
+            self._buckets[slot] = self._buckets.get(slot, ()) + (sess.key,)
 
     def _consume(self, sess: Session, env: Envelope, msg: int) -> None:
         sess.consumed.append(Consumed(env, msg))
@@ -542,9 +538,10 @@ class HonestAgent(Marked):
             if bound is not None:
                 del self._waiting[key]
                 bucket = self._buckets[slot]
-                bucket.discard(key)
-                if not bucket:
+                if len(bucket) == 1:
                     del self._buckets[slot]
+                else:
+                    self._buckets[slot] = tuple(k for k in bucket if k != key)
                 sess.bindings = bound
                 sess.pc += 1
                 sess.last_msg = step.msg
@@ -559,7 +556,7 @@ class HonestAgent(Marked):
             first = script.first_expect()
             if first is None:
                 continue
-            bound = match(first.pattern, env.body, dict(script.initial_bindings))
+            bound = match(first.pattern, env.body, script.initial_bindings)
             if bound is not None:
                 sess = Session(key=self._new_key(),
                                net_session=env.slot.session, script=script,
@@ -571,29 +568,32 @@ class HonestAgent(Marked):
                 return
 
     def poll(self, mint: FreshMint, nonce_bits: int) -> Optional[Send]:
-        """Propose the send of the lowest-keyed send-ready session. Fresh
-        values are minted once and cached so a proposal that loses
-        arbitration re-proposes unchanged; the program counter only
-        advances in commit_send."""
+        """Propose the send of the lowest-keyed send-ready session.  The
+        send, fresh values and all, is built once and cached so a
+        proposal that loses arbitration re-proposes unchanged; the
+        program counter only advances in commit_send."""
         if self.aborted or not self._ready:
             return None
         key = self._ready[0]
         sess = self.sessions[key]
-        step = sess.current()
         cache_key = (key, sess.pc)
-        if cache_key not in self._send_cache:
+        send = self._send_cache.get(cache_key)
+        if send is None:
+            step = sess.current()
             receiver = step.receiver
             if isinstance(receiver, Ref):
                 bound = sess.bindings[receiver.name]
                 receiver = bound.name if isinstance(bound, AgentId) else str(bound)
-            body = instantiate(step.body, sess.bindings, mint, self.name,
+            # bound in a new dict: a mark keeps the old one by reference
+            bindings = dict(sess.bindings)
+            body = instantiate(step.body, bindings, mint, self.name,
                                nonce_bits)
-            self._send_cache[cache_key] = (body, receiver)
-        body, receiver = self._send_cache[cache_key]
-        msg = sess.last_msg + 1 if step.relative else step.msg
-        return Send(sender=self.name, body=body, receiver=receiver,
-                    slot=Slot(session=sess.net_session, msg=msg),
-                    session_key=key)
+            sess.bindings = bindings
+            msg = sess.last_msg + 1 if step.relative else step.msg
+            send = self._send_cache[cache_key] = Send(
+                sender=self.name, body=body, receiver=receiver,
+                slot=Slot(session=sess.net_session, msg=msg), session_key=key)
+        return send
 
     def commit_send(self, key: int) -> None:
         """Advance the session whose send `poll` proposed and was applied."""
@@ -642,6 +642,10 @@ class AttackFunction:
     Injection whose output is protocol-acceptable (or empty)."""
     name: str
     steps: Tuple[object, ...]
+
+
+# one AgentId per name, so that knowledge sets hash each name once
+agent_id = functools.cache(AgentId)
 
 
 class AttackerAgent(Marked):
@@ -700,12 +704,8 @@ class AttackerAgent(Marked):
     def spy(self, env: Envelope, direction: str) -> None:
         """Apply the inflow/outflow spy rule: record the body, plus the
         true sender (inflow) or the receiver (outflow)."""
-        additions = [env.body]
-        if direction == "inflow":
-            additions.append(AgentId(env.true_sender))
-        else:
-            additions.append(AgentId(env.receiver))
-        self.knowledge.add(*additions)
+        self.knowledge.add(env.body, agent_id(
+            env.true_sender if direction == "inflow" else env.receiver))
         self._note_rival(env)
         self._observe(env)
 

@@ -18,7 +18,7 @@ from .knowledge import KnowledgeSet
 from .network import Envelope, Erase, Inject, Slot
 from .scenario import evaluate
 from .simulator import BudgetExceeded
-from .terms import Term, wire_eq, wire_view
+from .terms import Term, wire_view
 
 
 @dataclass
@@ -30,6 +30,24 @@ class EnumerationReport:
     over_budget: int = 0   # leaves dropped when their run hit the budget
 
 
+class SearchKnowledge(KnowledgeSet):
+    """The enumerated attacker's knowledge.  The leaves of a search mostly
+    end knowing one of a few sets of terms, so the analysis of each set
+    it held is kept for the rest of the search (a compromise check such
+    as `binding_derivable` analyses it at every leaf)."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self._analyses: Dict[frozenset, frozenset] = {}
+
+    def analysis(self) -> frozenset:
+        items = frozenset(self._items)
+        found = self._analyses.get(items)
+        if found is None:
+            found = self._analyses[items] = super().analysis()
+        return found
+
+
 class ScriptedAttacker(AttackerAgent):
     """Attacker driven by an explicit choice sequence.
 
@@ -37,13 +55,15 @@ class ScriptedAttacker(AttackerAgent):
     ("inject", j, receiver) inject the j-th distinct spied term at the
     receiver, masquerading as its configured peer; ("wait",).  When the
     script runs out the attacker goes quiet and records every option
-    offered from then on in its frontier.  With `sim` set, it marks the
-    simulator at each round whose menu grows, and files that mark under
-    the options the round added: a run that takes one of them agrees
-    with this run up to that round."""
+    offered from then on in its frontier.  Its menu grows only when it
+    spies an envelope, so it files options only in the first round after
+    its script ran out and in a round after it spied.  With `sim` set,
+    it marks the simulator at each round whose menu grows, and files that
+    mark under the options the round added: a run that takes one of them
+    agrees with this run up to that round."""
 
-    _moving = (("spied_terms", "grows"), ("session_of", "copy"),
-               ("next_session", "value"))
+    _moving = (("spied", "gains"), ("session_of", "copy"),
+               ("next_session", "value"), ("_unfiled", "value"))
 
     def __init__(self, name: str, interest, masks: Dict[str, str],
                  choices: Sequence[Tuple], knowledge=None):
@@ -55,10 +75,17 @@ class ScriptedAttacker(AttackerAgent):
         # option -> the mark of the round that first offered it
         self.frontier: Optional[Dict[Tuple, object]] = None
         self._filed = (0, 0)  # see `_file`; void while frontier is None
+        self._unfiled = True  # the menu may hold options not yet filed
         self.sim = None       # the simulator to mark, when forks are wanted
-        self.spied_terms: List[Term] = []   # distinct on the wire
+        # wire view -> the first spied term with it, in the order spied
+        self.spied: Dict[object, Term] = {}
         self.next_session = 2
         self.session_of: Dict[object, int] = {}
+
+    @property
+    def spied_terms(self) -> List[Term]:
+        """The distinct spied terms, in the order spied."""
+        return list(self.spied.values())
 
     def rescript(self, choices: Tuple) -> None:
         """Script a run resumed from the mark of the round that first
@@ -66,16 +93,19 @@ class ScriptedAttacker(AttackerAgent):
         self.choices = list(choices)
         self.cursor = len(choices) - 1
         self.frontier = None
+        self._unfiled = True
 
     def spy(self, env: Envelope, direction: str) -> None:
         super().spy(env, direction)
-        if not any(wire_eq(env.body, t) for t in self.spied_terms):
-            self.spied_terms.append(env.body)
+        self.spied.setdefault(wire_view(env.body), env.body)
+        self._unfiled = True
 
     def _visible(self, pending) -> List[int]:
-        # pending is in seq order
+        # pending is in seq order; an envelope it did not inject is one
+        # it sees when it spied it
+        name = self.name
         return [seq for seq, env in pending.items()
-                if self.sees(env) and not env.injected]
+                if not env.injected and name in env.observers]
 
     def _file(self, erasable: int, injectable: int) -> None:
         """File under one mark of this round the options it offers that
@@ -98,30 +128,32 @@ class ScriptedAttacker(AttackerAgent):
     def propose(self, pending, earlier):
         """The next scripted move; the attack-function machinery (rival
         takedowns, deferrals, hesitation) does not apply."""
-        visible = self._visible(pending)
-        injectable = len(self.spied_terms)
         if self.cursor >= len(self.choices):
             # accumulate every option that becomes available once the
             # script has run out: each is a candidate next move
-            self._file(len(visible), injectable)
+            if self._unfiled:
+                self._unfiled = False
+                self._file(len(self._visible(pending)), len(self.spied))
             return None
         choice = self.choices[self.cursor]
-        limit = len(visible) if choice[0] == "erase" else injectable
-        if choice == ("wait",) or choice[1] >= limit:
-            return None  # hold until the scripted move becomes possible
-        self.cursor += 1
         if choice[0] == "erase":
-            return Erase(actor=self.name,
-                         target_seq=visible[choice[1]],
+            visible = self._visible(pending)
+            if choice[1] >= len(visible):
+                return None  # hold until the scripted move becomes possible
+            self.cursor += 1
+            return Erase(actor=self.name, target_seq=visible[choice[1]],
                          rank=1, own_step=True)
+        if choice == ("wait",) or choice[1] >= len(self.spied):
+            return None
+        self.cursor += 1
         _, j, receiver = choice
-        term = self.spied_terms[j]
-        key = (wire_view(term), receiver)
+        view = list(self.spied)[j]
+        key = (view, receiver)
         if key not in self.session_of:
             self.session_of[key] = self.next_session
             self.next_session += 1
         return Inject(actor=self.name, claimed=self.masks[receiver],
-                      body=term, receiver=receiver,
+                      body=self.spied[view], receiver=receiver,
                       slot=Slot(self.session_of[key], 1), rank=1)
 
 
@@ -140,7 +172,7 @@ def enumerate_attacks(case, kind: str, max_choices: int = 8,
     scripted = ScriptedAttacker(
         name="E", interest=list(wiring.attackers[0].interest),
         masks=case.masks, choices=(),
-        knowledge=KnowledgeSet(list(wiring.attackers[0].knowledge.items)))
+        knowledge=SearchKnowledge(wiring.attackers[0].knowledge.items))
     wiring.attackers = [scripted]
     sim = wiring.simulator(seed=seed, max_rounds=max(10 * max_visible, 80))
     # the root runs from round 0; every other prefix from its mark
@@ -169,7 +201,7 @@ def enumerate_attacks(case, kind: str, max_choices: int = 8,
         elif outcome.interference_count > 0:
             report.deceptions_detected += 1
         if len(prefix) < max_choices and scripted.frontier:
-            if len(result.trace.steps) <= max_visible:
+            if result.trace.step_count <= max_visible:
                 for option, fork in scripted.frontier.items():
                     stack.append((prefix + (option,), fork))
     scripted.sim = None

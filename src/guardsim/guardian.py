@@ -28,15 +28,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import (Collection, Dict, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import (Collection, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from .agents import (KIND_CHECKS, InjectStep, NullMint, PBind, instantiate,
                      match)
 from .marks import DrawMarks, Marked
 from .network import Envelope, Erase, Inject, ResilientSignal, Slot
-from .terms import (Atom, Nonce, Term, render, wire_eq, wire_view,
-                    subterms, SymEnc, AsymEnc, CommEnc, LEAF_TYPES)
+from .terms import (Atom, Nonce, Pair, Succ, Term, render, wire_eq,
+                    wire_view, SymEnc, AsymEnc, CommEnc, LEAF_TYPES)
 from .topology import Topology
 
 
@@ -61,60 +61,62 @@ class Distinguisher:
         return 0
 
 
-@dataclass
-class StoreEntry(Marked):
-    _moving = (("labels", "copy"), ("last_rev", "value"),
-               ("sources", "copy"), ("p_rev", "value"))
-
+class StoreEntry(NamedTuple):
+    """One D_G entry.  An entry is never changed: an update replaces it,
+    so a mark of the store copies the index dicts and no entry."""
     term: Term
-    labels: Set[str]
+    labels: FrozenSet[str]
     last_rev: int
-    sources: Set[Tuple[str, str]] = field(default_factory=set)
+    sources: FrozenSet[Tuple[str, str]] = frozenset()
     p_rev: Optional[int] = None   # revision that first labelled it P
 
 
 class GuardianStore(Marked):
     """D_G with 'P' / 'critical' label subsets; deduplicates by wire
     equality (the guardian compares bitstrings) and tracks revisions for
-    the temporal window.  `by_part` lists, under the wire view of each
-    encryption component, the entries that hold it (an encryption is its
-    own first component)."""
+    the temporal window.  `entries` holds each entry under its wire view;
+    `by_part` lists, under the wire view of each encryption component,
+    the keys of the entries that hold it (an encryption is its own first
+    component)."""
 
-    _moving = (("entries", "each"), ("by_part", "copies"),
+    _moving = (("entries", "copy"), ("by_part", "copy"),
                ("revision", "value"))
 
     def __init__(self):
         self.entries: Dict[object, StoreEntry] = {}
-        self.by_part: Dict[object, List[StoreEntry]] = {}
+        self.by_part: Dict[object, Tuple[object, ...]] = {}
         self.revision = 0
 
-    def add(self, term: Term, labels: Set[str],
+    def add(self, term: Term, labels: Collection[str],
             source: Optional[Tuple[str, str]] = None) -> StoreEntry:
         self.revision += 1
+        rev = self.revision
         key = wire_view(term)
         entry = self.entries.get(key)
         if entry is None:
-            entry = StoreEntry(term, set(labels), self.revision)
-            self.entries[key] = entry
+            labels = frozenset(labels)
+            entry = StoreEntry(term, labels, rev,
+                               frozenset((source,)) if source else frozenset(),
+                               rev if "P" in labels else None)
             if not isinstance(term, LEAF_TYPES):   # a leaf has no components
+                by_part = self.by_part
                 for part in {wire_view(c) for c in _enc_components(term)}:
-                    self.by_part.setdefault(part, []).append(entry)
+                    by_part[part] = by_part.get(part, ()) + (key,)
         else:
-            entry.labels |= labels
-            entry.last_rev = self.revision
-        if "P" in labels and entry.p_rev is None:
-            entry.p_rev = self.revision
-        if source:
-            entry.sources.add(source)
+            labels = entry.labels.union(labels)
+            p_rev = entry.p_rev
+            entry = StoreEntry(
+                entry.term, labels, rev,
+                entry.sources | {source} if source else entry.sources,
+                rev if p_rev is None and "P" in labels else p_rev)
+        self.entries[key] = entry
         return entry
 
     def snapshot(self) -> List[StoreEntry]:
         """A copy of D_G that later adds leave unchanged.  The simulator
         and Monte Carlo read the live store; the benchmark tracer still
         wraps this method by name."""
-        return [StoreEntry(e.term, set(e.labels), e.last_rev, set(e.sources),
-                           e.p_rev)
-                for e in self.entries.values()]
+        return list(self.entries.values())
 
     def labeled_terms(self, label: str = "P") -> List[Term]:
         return [e.term for e in self.entries.values() if label in e.labels]
@@ -127,8 +129,25 @@ class GuardianStore(Marked):
 
 
 def _enc_components(term: Term) -> List[Term]:
-    return [t for t in subterms(term)
-            if isinstance(t, (SymEnc, AsymEnc, CommEnc))]
+    """The encryptions among `term`'s subterms, `term` included, in
+    pre-order (an encryption's payload before its keys)."""
+    out = []
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is Pair:
+            todo += (t.right, t.left)
+        elif kind is SymEnc or kind is AsymEnc:
+            out.append(t)
+            todo += (t.key, t.payload)
+        elif kind is CommEnc:
+            out.append(t)
+            todo += t.keys[::-1]
+            todo.append(t.payload)
+        elif kind is Succ:
+            todo.append(t.base)
+    return out
 
 
 INVARIANTS = ("replay-equality", "windowed-freshness", "cross-request-mismatch")
@@ -170,13 +189,13 @@ class InvariantSpec:
             entry = store.entries.get(wire_view(m))
             return () if entry is None else (entry,)
         if kind != "cross-request-mismatch":
-            found: Dict[int, StoreEntry] = {}
+            entries, by_part = store.entries, store.by_part
+            found: Dict[object, StoreEntry] = {}
             for part in _enc_components(m) or [m]:
                 view = wire_view(part)
-                for entry in (store.entries.get(view),
-                              *store.by_part.get(view, ())):
-                    if entry is not None:
-                        found.setdefault(id(entry), entry)
+                for key in (view, *by_part.get(view, ())):
+                    if key in entries:
+                        found.setdefault(key, entries[key])
             return list(found.values())
         return store.entries.values()
 
@@ -286,14 +305,13 @@ class GuardianFilter:
     control: bool = False
 
 
-@dataclass(frozen=True)
-class ModuleLogRow:
+class ModuleLogRow(NamedTuple):
     """One module verdict, with the store revision it left D_G at."""
     seq: Optional[int]
     ident: Optional[int]
     crit: Optional[int]
     inv: Optional[int]
-    store: GuardianStore = field(repr=False, compare=False)
+    store: GuardianStore
     revision: int
 
     @property
@@ -399,10 +417,9 @@ class Guardian(DrawMarks):
         crit_val = inv_val = None
         if ident_val and any(f.control for f in filters):
             crit_val, inv_val = self.control(m)
-        entry = self.store.add(m, {"P"} if ident_val else set(),
-                               source=(filters[0].direction, filters[0].target))
-        if crit_val:
-            entry.labels.add("critical")
+        self.store.add(m, ("P", "critical") if crit_val
+                       else ("P",) if ident_val else (),
+                       source=(filters[0].direction, filters[0].target))
         if inv_val:
             self._queue_plan(env)
         self.module_log.append(ModuleLogRow(env.seq, ident_val, crit_val,

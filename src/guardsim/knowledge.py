@@ -65,6 +65,10 @@ class KnowledgeSet:
 
     mark, rollback = revision.fget, restore   # a mark is a revision
 
+    def analysis(self) -> frozenset:
+        """The decomposition fixpoint of the known terms."""
+        return analyze_terms(self._items)
+
 
 def analyze_terms(items: Iterable[Term]) -> frozenset:
     """Decomposition fixpoint of a term set.
@@ -135,7 +139,7 @@ def derivable(ks: KnowledgeSet, goal: Term,
     infinite forward closure enumerated. When `explain` is given, the
     applied rule steps are appended to it (for derivation replay).
     """
-    analyzed = analyze_terms(ks._items)
+    analyzed = ks.analysis()
     memo = {}
 
     def synth(t: Term) -> bool:

@@ -13,16 +13,17 @@ that defines `mark` or `rollback` itself finds the compiled one as
 POLICIES = {
     "value": ("{x}", "{x} = {m}"),   # rebound, never changed in place
     "copy": ("{x}.copy()", "{x} = {m}.copy()"),   # changed in place
-    "copies": ("{{k: v.copy() for k, v in {x}.items()}}",   # a dict of such
-               "{x} = {{k: v.copy() for k, v in {m}.items()}}"),
     "grows": ("len({x})", "del {x}[{m}:]"),   # append-only
+    # an insertion-ordered dict that only gains keys
+    "gains": ("len({x})", "while len({x}) > {m}: {x}.popitem()"),
     # an object with its own marks, or None
     "part": ("None if {x} is None else {x}.mark()",
              "if {m} is not None: {x}.rollback({m})"),
     # a dict or list of such objects that only grows
-    "each": ("[o.mark() for o in _members({x})]", "_rollback_each({x}, {m})"),
+    "each": ("[o.mark() for o in ({x}.values() if type({x}) is dict else {x})]",
+             "_rollback_each({x}, {m})"),
     # a dict of such objects changed in place
-    "copy each": ("({x}.copy(), [o.mark() for o in _members({x})])",
+    "copy each": ("({x}.copy(), [o.mark() for o in {x}.values()])",
                   "{x} = {m}[0].copy(); _rollback_each({x}, {m}[1])"),
     # a random.Random whose draws the class counts in `draws`: with no
     # draw since the last mark or rollback (`_drawn`), a mark shares that
@@ -36,14 +37,11 @@ def _rollback_each(objects, marks):
     if type(objects) is dict:
         while len(objects) > len(marks):
             objects.popitem()
+        objects = objects.values()
     else:
         del objects[len(marks):]
-    for o, m in zip(_members(objects), marks):
+    for o, m in zip(objects, marks):
         o.rollback(m)
-
-
-def _members(objects):
-    return objects.values() if type(objects) is dict else objects
 
 
 def _mark_draws(owner, rng):

@@ -12,11 +12,11 @@ read off it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .marks import Marked
 from .terms import Term, wire_view
-from .topology import ConfigError, Topology
+from .topology import Topology
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,7 @@ class DeadlockError(Exception):
     """No agent proposed an action: the scripts are stuck."""
 
 
-@dataclass(frozen=True)
-class NetEvent:
+class NetEvent(NamedTuple):
     """One entry of the run's action record.  It points at the envelope
     it touched instead of copying it: an envelope no longer changes once
     it has left the wire, and the identities and body that a send or
@@ -158,7 +157,7 @@ class NetworkState(Marked):
                 for ev in self.history if ev.kind == "send"}
 
 
-def watchers(topology: Topology, env: Envelope) -> List[str]:
+def watchers(topology: Topology, env: Envelope) -> Tuple[str, ...]:
     """The topology-induced visibility function: the interceptors that
     see an envelope in transit, in the order it passes them.
 
@@ -166,11 +165,6 @@ def watchers(topology: Topology, env: Envelope) -> List[str]:
     channel for a send; for an injection, the stretch from the injector's
     station to the receiver, co-located rivals included and the injector
     left out.  An envelope the topology gives no path is seen by
-    nobody; resilient signals are no envelopes and travel unseen."""
-    try:
-        if env.injected:
-            return topology.observers_for_injection(env.true_sender,
-                                                    env.receiver)
-        return topology.observers_for_send(env.true_sender, env.receiver)
-    except ConfigError:
-        return []
+    nobody; resilient signals are no envelopes and travel unseen.  The
+    topology keeps each route's answer (`Topology.watchers`)."""
+    return topology.watchers(env.injected, env.true_sender, env.receiver)

@@ -11,7 +11,7 @@ from .agents import (KIND_CHECKS, Const, Enc, ExpectStep, FreshMint,
                      seq)
 from .network import DeadlockError
 from .simulator import BudgetExceeded, SimResult
-from .terms import SymKey, render
+from .terms import SymKey, render, wire_view
 from .topology import ConfigError, base_topology
 from .trace import Trace
 
@@ -70,34 +70,30 @@ def evaluate(result: SimResult, victim: str, attack_present: bool,
     compromise check (e.g. a leaked secret).  A false negative is a
     deceived victim session in a guarded run; a false positive is
     interference during a run with no attack."""
-    from .terms import wire_view
-    honest_sends = result.network.honest_sends()
-
-    def genuine(claimed: str, body, session: int, msg: int) -> bool:
-        return (claimed, wire_view(body), session, msg) in honest_sends
-
+    honest_sends = None   # read off the history on first need
     sessions: List[SessionReport] = []
     victim_deceived = 0
     guardian_name = result.guardian.name if result.guardian else None
     for name, agent in sorted(result.honest.items()):
         for sid in sorted(agent.sessions):
             sess = agent.sessions[sid]
-
-            def bad(c):
-                if not c.env.injected or \
-                        c.env.true_sender == c.env.claimed_sender:
-                    return False
-                if genuine(c.env.claimed_sender, c.env.body,
-                           sess.net_session, c.msg):
-                    return False  # genuine relay, not deception
-                if c.env.true_sender == guardian_name:
+            deceived = False
+            if sess.status == "complete":
+                for c in sess.consumed:
+                    env = c.env
+                    if not env.injected or \
+                            env.true_sender == env.claimed_sender:
+                        continue
+                    if honest_sends is None:
+                        honest_sends = result.network.honest_sends()
+                    if (env.claimed_sender, wire_view(env.body),
+                            sess.net_session, c.msg) in honest_sends:
+                        continue  # genuine relay, not deception
                     # a guardian fake only deceives when it accidentally
                     # validates a session under attack (value collision)
-                    return attack_present
-                return True
-
-            deceived = sess.status == "complete" and any(
-                bad(c) for c in sess.consumed)
+                    if env.true_sender != guardian_name or attack_present:
+                        deceived = True
+                        break
             sessions.append(SessionReport(agent=name, session=sid,
                                           status=sess.status,
                                           deceived=deceived))

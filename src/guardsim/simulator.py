@@ -1,12 +1,21 @@
 """The deterministic simulation loop.
 
 Each round: newly in-transit envelopes are announced and spied according
-to the topology (spying happens before anything erases them); agents are
-polled for at most one intended action each; one action is selected --
-attackers first, then the guardian, then honest agents, then deliveries
--- and applied.  Identical same-round erase intents merge with shared
-credit, a vigilant attacker can leave an erase to an earlier-placed
-rival, and an envelope is delivered once nobody dishonest wants it.
+to the topology (spying happens before anything erases them); then the
+tiers are asked in priority order -- attackers, the guardian, honest
+agents, deliveries -- and polling stops at the first tier that proposes,
+whose action is applied.  Only one action applies per round, so asking
+the later tiers would be wasted work.  Identical same-round erase intents
+merge with shared credit, a vigilant attacker can leave an erase to an
+earlier-placed rival, and an envelope is delivered once nobody dishonest
+wants it.
+
+Stopping early keeps every fresh-value draw in order.  An honest agent
+mints its next send when first asked for it and keeps it until it is
+sent; that send changes only when the agent sends, receives or is
+aborted.  No attacker or guardian action does any of these (a guardian
+abort ends the run), so a send first asked for a few rounds later is
+minted from the same state, after the same earlier draws.
 
 The guardian's interference plan stays inside the Guardian: the loop
 asks it for its next action (`Guardian.propose`), holds back the
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .agents import AttackerAgent, FreshMint, HonestAgent, RoleScript
-from .guardian import Guardian
+from .guardian import Guardian, GuardianAction
 from .marks import Marked
 from .network import (DeadlockError, Deliver, Envelope, Erase, Inject,
                       NetworkState, ResilientSignal, Send, watchers)
@@ -79,7 +88,11 @@ class Simulator(Marked):
                  max_rounds: int = 256):
         self.topology = topology
         self.honest = {a.name: a for a in honest}
+        self._honest_order = tuple(self.honest[n] for n in sorted(self.honest))
         self.attackers = list(attackers)
+        # each attacker with the rivals placed before it
+        self._rivals = tuple((att, self.attackers[:i])
+                             for i, att in enumerate(self.attackers))
         self._attacker = {a.name: a for a in self.attackers}
         self.guardian = guardian
         self.rng = random.Random(seed)
@@ -118,41 +131,6 @@ class Simulator(Marked):
                     if self.guardian.matching_filters(env):
                         env.observers.append(who)
                         self.guardian.process(env)
-
-    # -- poll phase --
-
-    def _poll(self):
-        attacker_props: List[AttackerProposal] = []
-        for i, att in enumerate(self.attackers):
-            prop = att.propose(self.net.pending, self.attackers[:i])
-            if prop is not None:
-                attacker_props.append((att, prop))
-        # stable: equal ranks keep the placement order
-        attacker_props.sort(key=lambda ap: ap[1].rank)
-
-        honest_props: List[Tuple[str, Send]] = []
-        for name in sorted(self.honest):
-            prop = self.honest[name].poll(self.mint, self.nonce_bits)
-            if prop is not None:
-                honest_props.append((name, prop))
-
-        g = self.guardian
-        guardian_prop = None
-        erase_targets = {p.target_seq for _, p in attacker_props
-                         if isinstance(p, Erase)}
-        if g is not None:
-            # propose first: it drops the captures that went stale
-            guardian_prop = g.propose(self.net.pending)
-            erase_targets |= g.captures()
-        # pending holds envelopes in the order they entered, which is seq
-        # order: the first one nobody means to erase is the one delivered
-        delivery = next((seq for seq in self.net.pending
-                         if seq not in erase_targets), None)
-
-        if (guardian_prop is None and g is not None and not attacker_props
-                and not honest_props and delivery is None):
-            guardian_prop = g.quiescent()
-        return attacker_props, guardian_prop, honest_props, delivery
 
     # -- select & apply --
 
@@ -221,41 +199,75 @@ class Simulator(Marked):
         self.trace.add_signal(prop)
         self.aborted = True
 
+    def _apply_guardian(self, prop: GuardianAction) -> GuardianAction:
+        seq = None
+        if isinstance(prop, Erase):
+            self._apply_erase(None, prop, [])
+        elif isinstance(prop, Inject):
+            seq = self._apply_inject(None, prop).seq
+        else:
+            self._apply_signal(prop)
+        self.guardian.committed(prop, seq)
+        return prop
+
     # -- main loop --
 
     def step(self):
-        """One arbitration round: notify observers of new traffic, poll
-        every agent for at most one intended action, select exactly one
-        by priority (attackers, guardian, honest senders, deliveries) and
-        apply it.  Returns the chosen action.  Raises DeadlockError when
-        nobody proposed anything."""
+        """One arbitration round: notify observers of new traffic, then
+        ask the tiers in priority order -- attackers, the guardian, honest
+        senders, deliveries -- and apply the first tier's action; the
+        tiers after it are not asked.  Every agent of an asked tier is
+        asked: attacker proposals are ranked and merged, and each honest
+        agent mints its next send, in name order.  Draws keep their order
+        because no attacker or guardian action changes an honest agent's
+        next send (a guardian abort ends the run), so a send asked for
+        later is minted from the same state.  With nobody else to act,
+        the guardian gives its deferred abort.  Returns the chosen action.
+        Raises DeadlockError when nobody proposed anything."""
         self.rounds += 1
         self._notify()
-        attacker_props, guardian_prop, honest_props, delivery = self._poll()
-        if attacker_props:
-            att, prop = attacker_props[0]
+        pending = self.net.pending
+        props: List[AttackerProposal] = []
+        for att, earlier in self._rivals:
+            prop = att.propose(pending, earlier)
+            if prop is not None:
+                props.append((att, prop))
+        if props:
+            if len(props) > 1:
+                # stable: equal ranks keep the placement order
+                props.sort(key=lambda ap: ap[1].rank)
+            att, prop = props[0]
             if isinstance(prop, Erase):
-                self._apply_erase(att, prop, attacker_props)
+                self._apply_erase(att, prop, props)
             else:
                 self._apply_inject(att, prop)
             return prop
-        if guardian_prop is not None:
-            seq = None
-            if isinstance(guardian_prop, Erase):
-                self._apply_erase(None, guardian_prop, [])
-            elif isinstance(guardian_prop, Inject):
-                seq = self._apply_inject(None, guardian_prop).seq
-            else:
-                self._apply_signal(guardian_prop)
-            self.guardian.committed(guardian_prop, seq)
-            return guardian_prop
-        if honest_props:
-            prop = honest_props[0][1]
-            self._apply_send(prop)
-            return prop
-        if delivery is not None:
-            self._apply_deliver(delivery)
-            return Deliver(target_seq=delivery)
+        g = self.guardian
+        if g is not None:
+            # asked before `captures`: it drops the captures that went stale
+            prop = g.propose(pending)
+            if prop is not None:
+                return self._apply_guardian(prop)
+        send = None
+        for agent in self._honest_order:
+            prop = agent.poll(self.mint, self.nonce_bits)
+            if send is None:
+                send = prop
+        if send is not None:
+            self._apply_send(send)
+            return send
+        # pending holds envelopes in the order they entered, which is seq
+        # order: the first one the guardian does not mean to erase is the
+        # one delivered
+        captured = g.captures() if g is not None else ()
+        for seq in pending:
+            if seq not in captured:
+                self._apply_deliver(seq)
+                return Deliver(target_seq=seq)
+        if g is not None:
+            prop = g.quiescent()
+            if prop is not None:
+                return self._apply_guardian(prop)
         raise DeadlockError("no agent proposed an action")
 
     def mark(self, mid_round: bool = False):

@@ -38,6 +38,8 @@ class Topology:
     resilient_links: Set[Tuple[str, str]] = field(default_factory=set)
 
     def __post_init__(self):
+        # (injected, true sender, receiver) -> `watchers` of that route
+        self._routes: Dict[Tuple[bool, str, str], Tuple[str, ...]] = {}
         self._home: Dict[str, List[Tuple[Tuple[str, str], int]]] = {}
         for edge, groups in self.stations.items():
             for idx, group in enumerate(groups):
@@ -101,6 +103,24 @@ class Topology:
         for group in stretch:
             out.extend(sorted(w for w in group if w != injector))
         return out
+
+    def watchers(self, injected: bool, sender: str, receiver: str
+                 ) -> Tuple[str, ...]:
+        """`observers_for_injection` of an injection by `sender`, else
+        `observers_for_send`, as a tuple; empty when the topology gives
+        the envelope no path.  Worked out once per route: a topology is
+        not changed once it is made."""
+        key = (injected, sender, receiver)
+        route = self._routes.get(key)
+        if route is None:
+            try:
+                route = tuple(
+                    self.observers_for_injection(sender, receiver) if injected
+                    else self.observers_for_send(sender, receiver))
+            except ConfigError:
+                route = ()
+            self._routes[key] = route
+        return route
 
     def can_reach(self, interceptor: str, receiver: str) -> bool:
         return self.station_of(interceptor, receiver) is not None

@@ -98,6 +98,18 @@ class Trace:
         return out
 
     @property
+    def step_count(self) -> int:
+        """len(steps), counted without building the steps."""
+        count = 0
+        for ev in self.history:
+            kind = ev.kind
+            if kind == "erase":
+                count += 2 if ev.cause.stop_note else 1
+            elif kind == "deliver" or kind == "signal":
+                count += 1
+        return count
+
+    @property
     def multi_session(self) -> bool:
         """Labels carry the session once any message fate is from a
         session other than the first."""

@@ -52,6 +52,25 @@ def digest(records) -> str:
     return h.hexdigest()
 
 
+def golden_runs():
+    """Each run the run/ parts digest, as ((study, layout, attack,
+    guardian, seed), finished run), with None for a run over its round
+    budget."""
+    for name in builtin_names():
+        case = builtin(name)
+        for kind in case.applicable_kinds():
+            for attack in (None, *case.attack_names):
+                for guardian in (False, True):
+                    for seed in SEEDS:
+                        wiring = case.wire(kind=kind, guardian=guardian,
+                                           attack=attack)
+                        try:
+                            result = wiring.simulator(seed=seed).run()
+                        except BudgetExceeded:
+                            result = None
+                        yield (name, kind, attack, guardian, seed), result
+
+
 def _run_records(case, kind, attack, guardian, seed, trace_path):
     wiring = case.wire(kind=kind, guardian=guardian, attack=attack)
     try:

@@ -16,7 +16,7 @@ from guardsim.protocols import builtin, builtin_names
 from guardsim.protocols.iso_sc27 import make_guardian
 from guardsim.simulator import BudgetExceeded, DeadlockError, Simulator
 
-from golden import result_records
+from golden import golden_runs, result_records
 from oracles import options, replay_enumerate
 
 
@@ -302,3 +302,25 @@ def test_one_run_call_per_leaf(monkeypatch, fail_at):
     rep = enumerate_attacks(builtin("eke"), "A", max_choices=4)
     assert len(calls) == rep.runs + rep.over_budget
     assert rep.over_budget == (fail_at is not None)
+
+
+def test_step_count_is_the_number_of_trace_steps(monkeypatch):
+    """`Trace.step_count`, which the search reads against `max_visible`,
+    counts the steps without building them: it equals len(steps) on
+    every golden run and on every leaf of a depth-3 search."""
+    for part, result in golden_runs():
+        if result is not None:
+            assert result.trace.step_count == len(result.trace.steps), part
+    leaves = []
+    original = Simulator.run
+
+    def run(sim):
+        result = original(sim)
+        leaves.append((result.trace.step_count, len(result.trace.steps)))
+        return result
+
+    monkeypatch.setattr(Simulator, "run", run)
+    rep = enumerate_attacks(builtin("iso-sc-27"), "A", max_choices=3)
+    assert len(leaves) == rep.runs
+    assert all(count == steps for count, steps in leaves)
+    assert {steps for _, steps in leaves} >= {1, 8, 9}

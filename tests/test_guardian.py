@@ -15,7 +15,6 @@ from guardsim.montecarlo import monte_carlo_fp
 from guardsim.network import Envelope, Slot
 from guardsim.protocols.iso_sc27 import make_guardian, wire
 from guardsim.protocols import builtin, builtin_names
-from guardsim.simulator import BudgetExceeded
 from guardsim.terms import (AsymEnc, AsymKey, Atom, Nonce, Pair, SymEnc,
                             SymKey, comm_enc, pair_items, subterms)
 from guardsim.topology import base_topology
@@ -399,22 +398,9 @@ def test_monte_carlo_trial_passes_at_most_one_entry(monkeypatch):
 
 def golden_bodies():
     """Every body on the network in the runs tests/golden.py digests."""
-    bodies = set()
-    for name in builtin_names():
-        case = builtin(name)
-        for kind in case.applicable_kinds():
-            for attack in (None, *case.attack_names):
-                for guardian in (False, True):
-                    for seed in golden.SEEDS:
-                        try:
-                            result = case.wire(
-                                kind=kind, guardian=guardian,
-                                attack=attack).simulator(seed=seed).run()
-                        except BudgetExceeded:
-                            continue
-                        bodies.update(ev.env.body
-                                      for ev in result.network.history
-                                      if ev.env is not None)
+    bodies = {ev.env.body for _, result in golden.golden_runs()
+              if result is not None
+              for ev in result.network.history if ev.env is not None}
     return sorted(bodies, key=repr)
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from guardsim.network import Envelope, Slot, watchers
 from guardsim.terms import Nonce
-from guardsim.topology import base_topology
+from guardsim.topology import LAYOUTS as TOPOLOGY_LAYOUTS
+from guardsim.topology import ConfigError, base_topology
 
 N = Nonce(value=1, label="N_A")
 
@@ -90,3 +91,26 @@ def test_ordered_stations_shade_far_side():
     # kind A: E injecting toward B never crosses G (G sits on A's side)
     topo = base_topology("A", honest=("A", "B"))
     assert "G" not in watchers(topo, env("A", "B", true="E", injected=True))
+
+
+@pytest.mark.parametrize("kind", sorted(TOPOLOGY_LAYOUTS))
+def test_watchers_keeps_each_route_of_the_uncached_functions(kind):
+    """Every send and injection route between any two of the layout's
+    agents and interceptors: the kept answer is the uncached one, as a
+    tuple, and empty where the topology gives no path."""
+    topo = base_topology(kind, attackers=("E_1", "E_2"))
+    names = sorted(topo.vertices | {who for groups in topo.stations.values()
+                                    for group in groups for who in group})
+    for injected in (False, True):
+        uncached = (topo.observers_for_injection if injected
+                    else topo.observers_for_send)
+        for sender in names:
+            for receiver in names:
+                try:
+                    expected = tuple(uncached(sender, receiver))
+                except ConfigError:
+                    expected = ()
+                route = env(sender, receiver, injected=injected)
+                for _ in range(2):   # worked out, then kept
+                    got = watchers(topo, route)
+                    assert type(got) is tuple and got == expected
