@@ -1,5 +1,5 @@
 """The no-false-negative search one level deeper than criterion 6:
-Otway-Rees on layout C at depth 6.  It takes about 15 s of CPU, too long
+Otway-Rees on layout C at depth 6.  It takes about 10 s of CPU, too long
 for the tier-1 suite next to criterion 6, so pytest does not collect it;
 CI runs it as its own step.
 
